@@ -6,7 +6,8 @@ the unique cut vertex through which the block is reached from that
 monitor. We call these two nodes the block's agents. All analysis of
 a block only ever sees path segments between its agents, so they act
 as stand-in monitors for the block (with one caveat around a direct
-agent-to-agent link, handled by the classifier).
+agent-to-agent link, handled by the classifier). One BFS from each
+monitor finds the agents of all blocks at once.
 """
 
 from __future__ import annotations
@@ -35,52 +36,68 @@ class AgentAssignment:
     connecting_paths: tuple
 
 
-def _entry_node(g, m, block_nodes):
-    """First node of the block hit from m, with a witness path.
+def _first_hits(g, m, bct):
+    """First node of every block reached from monitor m, by one BFS.
 
-    Every path from m into the block enters through the same node (m
-    itself, or one cut vertex), so a plain BFS finds it: that node is
-    strictly closer to m than any other node of the block.
+    Returns (block id -> agent, the BFS prev map). The BFS runs from m
+    in neighbour order. Every path from m into a block enters through
+    the same node (m itself, or one cut vertex), which is strictly
+    closer to m than any other node of the block, so it is the block's
+    first discovered node. A BFS stopped at that node is a prefix of
+    this one, so the prev links behind its witness path are the same
+    too. The search ends once every block has its agent, and is
+    skipped when m lies in all of them: O(n + m) per monitor. Blocks
+    never reached are missing from the result.
     """
-    if m in block_nodes:
-        return m, (m,)
+    agents = dict.fromkeys(bct.blocks_of_node(m), m)
     prev = {m: None}
     queue = deque([m])
-    while queue:
+    while queue and len(agents) < len(bct.blocks):
         v = queue.popleft()
         for w, _ in g.neighbors(v):
             if w in prev:
                 continue
             prev[w] = v
-            if w in block_nodes:
-                path = [w]
-                while path[-1] is not None:
-                    path.append(prev[path[-1]])
-                path.pop()
-                return w, tuple(reversed(path))
+            for bid in bct.blocks_of_node(w):
+                agents.setdefault(bid, w)
             queue.append(w)
-    raise UnknownBlock("block nodes are unreachable from monitor"
-                       f" {m!r}")
+    return agents, prev
+
+
+def _witness(prev, v):
+    """Node path from the BFS root to v along prev."""
+    path = []
+    while v is not None:
+        path.append(v)
+        v = prev[v]
+    return tuple(reversed(path))
 
 
 def locate_agents(g, bct=None):
     """Agents of every block for the graph's two monitors.
 
-    Returns a dict mapping block id to its AgentAssignment.
+    Returns a dict mapping block id to its AgentAssignment. Costs one
+    BFS per monitor over the whole graph, not one per block. Raises
+    UnknownBlock when a block of bct cannot be reached from a monitor
+    (bct built from another graph).
     """
     m1, m2 = g.require_monitors()
     if bct is None:
         bct = biconnected_components(g)
+    (first1, prev1), (first2, prev2) = (_first_hits(g, m, bct)
+                                        for m in (m1, m2))
     out = {}
     for block in bct.blocks:
-        nodes = set(block.nodes)
-        a1, p1 = _entry_node(g, m1, nodes)
-        a2, p2 = _entry_node(g, m2, nodes)
+        for m, first in ((m1, first1), (m2, first2)):
+            if block.bid not in first:
+                raise UnknownBlock("block nodes are unreachable from"
+                                   f" monitor {m!r}")
+        a1, a2 = first1[block.bid], first2[block.bid]
         out[block.bid] = AgentAssignment(
             block=block.bid,
             monitors=(m1, m2),
             agents=(a1, a2),
-            connecting_paths=(p1, p2),
+            connecting_paths=(_witness(prev1, a1), _witness(prev2, a2)),
         )
     return out
 

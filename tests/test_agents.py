@@ -1,10 +1,12 @@
 """Per-block agents: where monitor traffic enters each block."""
 
 import random
+from collections import deque
 
 import pytest
 
 from linkident import (
+    Graph,
     MonitorsUnset,
     UnknownBlock,
     biconnected_components,
@@ -14,7 +16,7 @@ from linkident import (
     locate_agents,
 )
 
-from helpers import c5, path_graph, two_triangles
+from helpers import c5, path_graph, triangle, two_triangles
 
 
 def test_agents_of_two_triangles_with_far_monitors():
@@ -108,3 +110,98 @@ def test_single_agent_blocks_carry_no_usable_measurements():
             assert not identifiable & set(b.links)
             checked += 1
     assert checked > 5
+
+
+# -- one BFS per monitor against the per-block reference ----------------
+
+
+def triangle_chain(blocks):
+    """Triangles (2i, 2i+1, 2i+2) glued at their even nodes."""
+    edges = []
+    for i in range(blocks):
+        edges += [(2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2),
+                  (2 * i, 2 * i + 2)]
+    return Graph(range(2 * blocks + 1), edges)
+
+
+def entry_by_block_bfs(g, m, block_nodes):
+    """Reference: a BFS from m that stops at the block's first node."""
+    if m in block_nodes:
+        return m, (m,)
+    prev = {m: None}
+    queue = deque([m])
+    while queue:
+        v = queue.popleft()
+        for w, _ in g.neighbors(v):
+            if w in prev:
+                continue
+            prev[w] = v
+            if w in block_nodes:
+                path = [w]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                return w, tuple(reversed(path))
+            queue.append(w)
+    raise AssertionError("block unreachable")
+
+
+def assert_matches_per_block_search(g):
+    bct = biconnected_components(g)
+    agents = locate_agents(g, bct)
+    assert sorted(agents) == [b.bid for b in bct.blocks]
+    for b in bct.blocks:
+        ends = [entry_by_block_bfs(g, m, set(b.nodes)) for m in g.monitors]
+        assert agents[b.bid].agents == tuple(a for a, _ in ends)
+        assert agents[b.bid].connecting_paths == tuple(p for _, p in ends)
+
+
+def test_agents_match_per_block_search_on_triangle_chains():
+    for blocks in (1, 2, 5, 12):
+        end = 2 * blocks
+        q1, q3 = 2 * (blocks // 4), 2 * (3 * blocks // 4)
+        for pair in [(0, end), (end, 0), (q1, q3), (q1 + 1, q3 + 1),
+                     (1, end - 1), (end // 2, 1)]:
+            if pair[0] != pair[1]:
+                assert_matches_per_block_search(
+                    triangle_chain(blocks).with_monitors(*pair))
+
+
+def test_agents_match_per_block_search_on_random_graphs():
+    for i in range(60):
+        rng = random.Random(7900 + i)
+        g = gnp_connected(rng.randint(3, 14), 0.3, rng)
+        assert_matches_per_block_search(
+            g.with_monitors(*rng.sample(g.nodes, 2)))
+
+
+def test_tree_of_another_graph_raises_unknown_block():
+    """Blocks the monitors cannot reach raise UnknownBlock, never a
+    lookup error from inside the search."""
+    far = Graph(range(3, 6), [(3, 4), (3, 5), (4, 5)])
+    with pytest.raises(UnknownBlock):
+        locate_agents(triangle(), biconnected_components(far))
+    with pytest.raises(UnknownBlock):
+        locate_agents(two_triangles().with_monitors(0, 1),
+                      biconnected_components(path_graph(6)))
+
+
+def test_one_search_per_monitor_on_a_long_chain(monkeypatch):
+    g = triangle_chain(300).with_monitors(0, 600)
+    bct = biconnected_components(g)
+    expected = locate_agents(g, bct)
+    calls = []
+    original = Graph.neighbors
+
+    def counted(self, v):
+        calls.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(Graph, "neighbors", counted)
+    assert locate_agents(g, bct) == expected
+    assert 0 < len(calls) <= 2 * (g.n + 1)
+    # monitors inside the only block need no search at all
+    ring = c5().with_monitors(0, 2)
+    ring_bct = biconnected_components(ring)
+    calls.clear()
+    locate_agents(ring, ring_bct)
+    assert calls == []

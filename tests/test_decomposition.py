@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,11 +18,14 @@ from linkident import (
     cut_vertices,
     decompose_links,
     enumerate_all_connected_graphs,
+    grid,
     k_vertex_connected,
     neighboring_components,
+    random_biconnected,
     reassemble,
     triconnected_components,
 )
+from linkident import decomposition
 
 from helpers import bowtie_on_edge, c5, k4, path_graph, prism, triangle, \
     two_triangles
@@ -271,3 +275,80 @@ def test_every_virtual_id_lives_in_exactly_two_components():
             where.setdefault(vid, []).append(c.cid)
     assert {vid: tuple(cids) for vid, cids in where.items()} == \
         {vid: pair for vid, pair in tri.virtual_pairing.items()}
+
+
+# -- split-pair search against the all-pairs reference ------------------
+
+
+def scan_all_pairs(links, nodes):
+    """Reference split-pair search: every node pair in ascending order,
+    with the same qualification rule as the library."""
+    for a, b in combinations(nodes, 2):
+        classes = decomposition._separation_classes(links, a, b)
+        if len(classes) < 2:
+            continue
+        if len(classes) == 2 and (len(classes[0]) == 1
+                                  or len(classes[1]) == 1):
+            continue
+        return (a, b), classes
+    return None, None
+
+
+def decomposed_both_ways(links, monkeypatch):
+    fast = decompose_links(links).to_json()
+    with monkeypatch.context() as patch:
+        patch.setattr(decomposition, "_find_split_pair", scan_all_pairs)
+        slow = decompose_links(links).to_json()
+    return fast, slow
+
+
+def test_split_search_matches_all_pairs_scan_on_small_graphs(monkeypatch):
+    count = 0
+    for n in range(2, 6):
+        for g in enumerate_all_connected_graphs(n):
+            for b in biconnected_components(g).blocks:
+                links = {eid: g.links[eid] for eid in b.links}
+                fast, slow = decomposed_both_ways(links, monkeypatch)
+                assert fast == slow
+                count += 1
+    assert count > 100
+
+
+def test_split_search_matches_all_pairs_scan_on_larger_blocks(monkeypatch):
+    graphs = [grid(k, k) for k in range(3, 7)]
+    for i in range(100):
+        rng = random.Random(9300 + i)
+        graphs.append(random_biconnected(rng.randint(8, 14), rng,
+                                         chord_prob=rng.choice((0.1, 0.3))))
+    for g in graphs:
+        fast, slow = decomposed_both_ways(g.links, monkeypatch)
+        assert fast == slow
+
+
+def test_split_search_finds_a_pair_through_parallel_links(monkeypatch):
+    """A real link 0 parallel to a virtual link 5, as left behind when
+    the bowtie splits at (0, 1): no node cuts the piece without node 0,
+    so only the parallel links make (0, 1) a candidate."""
+    piece = {0: (0, 1), 3: (0, 3), 4: (1, 3), 5: (0, 1)}
+    adj = {0: [(1, 0), (3, 3), (1, 5)], 1: [(0, 0), (3, 4), (0, 5)],
+           3: [(0, 3), (1, 4)]}
+    assert decomposition._cut_nodes_without(adj, 0) == set()
+    pair, classes = decomposition._find_split_pair(piece, [0, 1, 3])
+    assert pair == (0, 1)
+    assert (pair, classes) == scan_all_pairs(piece, [0, 1, 3])
+    fast, slow = decomposed_both_ways(piece, monkeypatch)
+    assert fast == slow
+    assert [c["kind"] for c in fast["components"]] == ["bond", "polygon"]
+
+
+def test_split_search_tests_few_pairs_on_a_grid(monkeypatch):
+    calls = []
+    original = decomposition._separation_classes
+
+    def counted(links, a, b):
+        calls.append((a, b))
+        return original(links, a, b)
+
+    monkeypatch.setattr(decomposition, "_separation_classes", counted)
+    decompose_links(grid(9, 9).links)
+    assert 0 < len(calls) < 20
