@@ -14,7 +14,7 @@ diffs them at scale; they must agree wherever the structural engine
 does not itself delegate to the oracle.
 """
 
-from .agents import AgentAssignment, distinct_agent_count, locate_agents
+from .agents import AgentAssignment, locate_agents
 from .connectivity import (
     has_disjoint_fan,
     interior_identifiability_predicate,
@@ -31,7 +31,6 @@ from .decomposition import (
     biconnected_components,
     cut_vertices,
     decompose_links,
-    neighboring_components,
     reassemble,
     triconnected_components,
 )
@@ -73,7 +72,7 @@ from .generators import (
     grid,
     random_biconnected,
 )
-from .graph import Graph, MultiGraph, augment_with_monitor_link
+from .graph import Graph, MultiGraph
 from .linalg import IntegerEchelon
 from .oracle import (
     DEFAULT_PATH_CAP,
@@ -90,12 +89,9 @@ from .structural import (
     Classification,
     IdentifiabilityReport,
     LinkVerdict,
-    SplitPairClass,
     Structure,
     analyze,
     classify_component,
-    classify_split_pair,
-    replace_virtual_link,
 )
 from .sweep import (
     DiffRecord,
@@ -140,7 +136,6 @@ __all__ = [
     "ParseError",
     "PathExplosion",
     "SelfLoop",
-    "SplitPairClass",
     "Structure",
     "SweepConfig",
     "SweepSummary",
@@ -153,17 +148,14 @@ __all__ = [
     "UnknownPair",
     "WrongAgentCount",
     "analyze",
-    "augment_with_monitor_link",
     "barbell",
     "biconnected_components",
     "block_cut_tree_dot",
     "classify_component",
-    "classify_split_pair",
     "cut_vertices",
     "decompose_links",
     "decomposition_dot",
     "diff_instance",
-    "distinct_agent_count",
     "enumerate_all_connected_graphs",
     "enumerate_simple_paths",
     "exhaustive_sweep",
@@ -179,11 +171,9 @@ __all__ = [
     "k_edge_connected",
     "k_vertex_connected",
     "locate_agents",
-    "neighboring_components",
     "oracle_analysis",
     "random_biconnected",
     "reassemble",
-    "replace_virtual_link",
     "report_dot",
     "run_sweep",
     "triconnected_components",

@@ -100,12 +100,3 @@ def locate_agents(g, bct=None):
             connecting_paths=(_witness(prev1, a1), _witness(prev2, a2)),
         )
     return out
-
-
-def distinct_agent_count(assignments, bid):
-    """How many distinct agents a block has: 1 or 2."""
-    try:
-        a = assignments[bid]
-    except KeyError:
-        raise UnknownBlock(f"no block {bid}") from None
-    return len(set(a.agents))

@@ -9,7 +9,8 @@ Subcommands:
   dot         structural views of one graph (blocks, components)
 
 Exit status: 0 on success, 1 when diff/exhaustive found a mismatch on
-a rule the oracle does not back, 2 on any input or analysis error.
+a rule the oracle does not back, 2 on any input or analysis error,
+including a graph deep enough to exhaust the recursion limit.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ def _emit_json(data):
 
 def _cmd_analyze(args):
     g = _load_graph(args.input, args.monitors)
-    report = analyze(g, path_cap=args.path_cap,
-                     allow_monitor_transit=args.allow_monitor_transit)
+    report = analyze(g, path_cap=args.path_cap)
     _emit_json(report.to_json())
     if args.dot is not None:
         _write(args.dot, report_dot(report))
@@ -97,8 +97,7 @@ def _cmd_analyze(args):
 
 def _cmd_oracle(args):
     g = _load_graph(args.input, args.monitors)
-    result = oracle_analysis(g, path_cap=args.path_cap,
-                             allow_monitor_transit=args.allow_monitor_transit)
+    result = oracle_analysis(g, path_cap=args.path_cap)
     out = {
         "identifiable": sorted(result.identifiable),
         "paths": result.path_count,
@@ -153,6 +152,8 @@ def _cmd_exhaustive(args):
     lo, hi = args.nodes
     if lo != hi:
         raise ParseError("exhaustive takes a single node count, not a range")
+    if not 2 <= hi <= 7:
+        raise ParseError(f"exhaustive takes 2 to 7 nodes, not {hi}")
     summary = exhaustive_sweep(max_nodes=hi, path_cap=args.path_cap,
                                jsonl_path=args.jsonl)
     _emit_json(summary.to_json())
@@ -204,13 +205,11 @@ def build_parser():
     p.add_argument("--dot", default=None, metavar="FILE",
                    help="also write a verdict-colored DOT file")
     p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
-    p.add_argument("--allow-monitor-transit", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("oracle", help="exact verdicts from path algebra")
     _add_input_flags(p)
     p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
-    p.add_argument("--allow-monitor-transit", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("diff", help="randomized structural-vs-oracle sweep")
@@ -245,7 +244,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LinkIdentError as exc:
+    except (LinkIdentError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

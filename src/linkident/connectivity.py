@@ -1,10 +1,12 @@
 """Connectivity predicates over graphs and multigraphs.
 
-All tests here are deliberately brute force: delete every (k-1)-subset
-of nodes or links and BFS what remains. At the scales this library
-works at (a few dozen nodes) that is fast, trivially correct, and easy
-to cross-check against an independent max-flow formulation in the test
-suite.
+The k-vertex and k-edge tests are brute force: delete every
+(k-1)-subset of nodes or links and search what remains, which at the
+scales this library works at (a few dozen nodes) is fast, trivially
+correct, and easy to cross-check against an independent max-flow
+formulation in the test suite. The 3-edge test instead runs one
+bridge-finding pass per deleted link, and the fan test one search per
+deleted node. Plain reachability goes through graph.reachable.
 """
 
 from __future__ import annotations
@@ -12,38 +14,23 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import MonitorsUnset, TooSmall
-from .graph import MultiGraph
-
-
-def _edge_pairs(g):
-    """Links of g as a list of (u, v) pairs (parallel links repeat)."""
-    return list(g.links.values())
+from .graph import MultiGraph, node_adjacency, reachable
+from .oracle import DEFAULT_PATH_CAP, _walk_paths
 
 
 def _connected(nodes, pairs):
-    """BFS connectivity of an explicit node set / edge pair list."""
+    """Connectivity of an explicit node set / edge pair list."""
     if not nodes:
         return True
-    adj = {v: [] for v in nodes}
-    for u, w in pairs:
-        adj[u].append(w)
-        adj[w].append(u)
     first = next(iter(nodes))
-    seen = {first}
-    stack = [first]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(nodes)
+    return len(reachable(node_adjacency(nodes, pairs), (first,))) \
+        == len(nodes)
 
 
 def is_connected(g):
     """Connectivity for Graph or MultiGraph (empty graph counts as
     connected)."""
-    return _connected(set(g.nodes), _edge_pairs(g))
+    return _connected(set(g.nodes), g.links.values())
 
 
 def k_vertex_connected(g, k):
@@ -55,18 +42,16 @@ def k_vertex_connected(g, k):
     more than k nodes gets the range check, which raises ValueError for
     k outside {1, 2, 3}.
     """
-    nodes = set(g.nodes)
+    nodes = sorted(set(g.nodes))
     if len(nodes) <= k:
         raise TooSmall(f"need more than {k} nodes, have {len(nodes)}")
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    pairs = [p for p in _edge_pairs(g)]
-    for cut in combinations(sorted(nodes), k - 1):
+    adj = node_adjacency(nodes, g.links.values())
+    for cut in combinations(nodes, k - 1):
         gone = set(cut)
-        kept_nodes = nodes - gone
-        kept_pairs = [(u, v) for u, v in pairs
-                      if u not in gone and v not in gone]
-        if not _connected(kept_nodes, kept_pairs):
+        start = next(v for v in nodes if v not in gone)
+        if len(reachable(adj, (start,), gone)) != len(nodes) - len(gone):
             return False
     return True
 
@@ -81,7 +66,7 @@ def k_edge_connected(g, k):
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
     nodes = set(g.nodes)
-    pairs = _edge_pairs(g)
+    pairs = list(g.links.values())
     if len(nodes) <= 1:
         return True
     if k > 1:
@@ -158,51 +143,14 @@ def _three_edge_connected(g):
 
 def _monitor_lobes(g, m1, m2):
     """Connected components of g minus both monitors, as node sets."""
-    rest = [v for v in g.nodes if v not in (m1, m2)]
-    adj = {v: set() for v in rest}
-    for u, v in g.links.values():
-        if u in adj and v in adj:
-            adj[u].add(v)
-            adj[v].add(u)
-    seen = set()
+    adj = node_adjacency(g.nodes, g.links.values())
+    seen = {m1, m2}
     out = []
-    for v in rest:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(comp)
-    return out
-
-
-def _simple_path_link_sets(links, a, b):
-    """Link-id set of every simple a-b path over an explicit link dict."""
-    adj = {}
-    for eid, (u, v) in links.items():
-        adj.setdefault(u, []).append((v, eid))
-        adj.setdefault(v, []).append((u, eid))
-    out = []
-
-    def dfs(v, seen, used):
-        if v == b:
-            out.append(frozenset(used))
-            return
-        for w, eid in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                used.append(eid)
-                dfs(w, seen, used)
-                used.pop()
-                seen.remove(w)
-
-    dfs(a, {a}, [])
+    for v in g.nodes:
+        if v not in seen:
+            comp = reachable(adj, (v,), {m1, m2})
+            seen |= comp
+            out.append(comp)
     return out
 
 
@@ -211,25 +159,29 @@ def _once_crossed_cut_hits_interior(links, interior, m1, m2, lobe):
     exactly once?
 
     Cuts are enumerated as node bipartitions: m1 plus any subset of the
-    lobe on one side, m2 and the rest on the other. Path link sets are
-    only materialized for the first cut that touches an interior link;
-    cuts entirely through monitor links cannot condemn anything and are
-    skipped. The virtual bypass link would cross every enumerated cut
-    exactly once, so leaving it out of both the cuts and the paths
-    changes no answer.
+    lobe on one side, m2 and the rest on the other. Cuts, interior and
+    paths are link bitmasks. Path masks come from the oracle's path
+    walk, bounded by DEFAULT_PATH_CAP, and are only produced for the
+    first cut that touches an interior link; cuts entirely through
+    monitor links cannot condemn anything and are skipped. The virtual bypass link
+    would cross every enumerated cut exactly once, so leaving it out of
+    both the cuts and the paths changes no answer.
     """
     paths = None
     members = sorted(lobe)
     for r in range(len(members) + 1):
         for extra in combinations(members, r):
             side = {m1, *extra}
-            cut = {eid for eid, (u, v) in links.items()
-                   if (u in side) != (v in side)}
+            cut = sum(1 << eid for eid, (u, v) in links.items()
+                      if (u in side) != (v in side))
             if not cut & interior:
                 continue
             if paths is None:
-                paths = _simple_path_link_sets(links, m1, m2)
-            if all(len(p & cut) == 1 for p in paths):
+                paths = []
+                _walk_paths(MultiGraph(lobe | {m1, m2}, links), m1, m2,
+                            DEFAULT_PATH_CAP,
+                            lambda mask, seq: paths.append(mask))
+            if all((p & cut).bit_count() == 1 for p in paths):
                 return True
     return False
 
@@ -275,8 +227,8 @@ def interior_identifiability_predicate(g):
     for lobe in big:
         links = {eid: pair for eid, pair in g.links.items()
                  if pair[0] in lobe or pair[1] in lobe}
-        interior = {eid for eid, (u, v) in links.items()
-                    if u in lobe and v in lobe}
+        interior = sum(1 << eid for eid, (u, v) in links.items()
+                       if u in lobe and v in lobe)
         aug = MultiGraph(lobe | {m1, m2}, {**links, vid: (m1, m2)},
                          virtual=(vid,))
         if not _three_edge_connected(aug):
@@ -294,33 +246,17 @@ def has_disjoint_fan(nodes, pairs, sources, targets):
     nodes/pairs describe the graph; sources and targets are disjoint
     2-sets of its nodes. By Menger's theorem two such paths exist iff
     no single vertex deletion separates the remaining sources from the
-    remaining targets, which is what gets brute-forced here.
+    remaining targets, which is what gets brute-forced here, one search
+    per deleted node over an adjacency built once.
     """
     src = set(sources)
     tgt = set(targets)
+    adj = node_adjacency(nodes, pairs)
     for x in nodes:
-        kept_nodes = set(nodes) - {x}
-        kept_pairs = [(u, v) for u, v in pairs if x not in (u, v)]
-        adj = {v: [] for v in kept_nodes}
-        for u, v in kept_pairs:
-            adj[u].append(v)
-            adj[v].append(u)
         starts = src - {x}
         goals = tgt - {x}
         if not starts or not goals:
             return False
-        seen = set(starts)
-        stack = list(starts)
-        hit = False
-        while stack and not hit:
-            v = stack.pop()
-            if v in goals:
-                hit = True
-                break
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if not hit and not (seen & goals):
+        if not reachable(adj, starts, {x}) & goals:
             return False
     return True

@@ -33,7 +33,7 @@ from .errors import (
     UnknownBlock,
     UnknownPair,
 )
-from .graph import Graph, MultiGraph
+from .graph import Graph, MultiGraph, node_adjacency, reachable
 
 POLYGON = "polygon"
 BOND = "bond"
@@ -163,30 +163,16 @@ def _separation_classes(links, a, b):
     order: components by smallest contained node, then direct links by
     id.
     """
-    adj = {}
-    for eid, (u, v) in links.items():
-        if u in (a, b) or v in (a, b):
-            continue
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
     others = sorted(_endpoints(links) - {a, b})
+    adj = node_adjacency(others, (p for p in links.values()
+                                  if a not in p and b not in p))
     comp_of = {}
-    comps = []
+    count = 0
     for start in others:
-        if start in comp_of:
-            continue
-        comp = {start}
-        stack = [start]
-        comp_of[start] = len(comps)
-        while stack:
-            v = stack.pop()
-            for w in adj.get(v, ()):
-                if w not in comp_of:
-                    comp_of[w] = len(comps)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    classes = [{} for _ in comps]
+        if start not in comp_of:
+            comp_of.update(dict.fromkeys(reachable(adj, (start,)), count))
+            count += 1
+    classes = [{} for _ in range(count)]
     directs = []
     for eid, (u, v) in sorted(links.items()):
         if {u, v} == {a, b}:
@@ -547,8 +533,3 @@ def reassemble(d):
     nodes = sorted({x for pair in real.values() for x in pair})
     edges = [real[eid] for eid in sorted(real)]
     return Graph(nodes, edges)
-
-
-def neighboring_components(d, cid, pair):
-    """Module-level spelling of d.neighboring_components(cid, pair)."""
-    return d.neighboring_components(cid, pair)

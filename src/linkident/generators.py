@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .errors import GenerationFailed, TooLarge
-from .graph import Graph
+from .graph import Graph, reachable
 from .oracle import DEFAULT_PATH_CAP
 
 MAX_GENERATION_TRIES = 200
@@ -141,15 +141,7 @@ def _mask_connected(n, pairs, mask):
         if mask >> i & 1:
             adj[u].append(v)
             adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+    return len(reachable(adj, (0,))) == n
 
 
 def _wl_colors(n, adj):

@@ -32,6 +32,33 @@ def _normalize(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def node_adjacency(nodes, pairs):
+    """Neighbour lists of nodes for (u, v) pairs; parallel pairs
+    repeat."""
+    adj = {v: [] for v in nodes}
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def reachable(adj, starts, blocked=()):
+    """Set of nodes reached from starts without entering blocked ones.
+
+    adj maps each node to its neighbours (a dict, or a list over
+    nodes 0..n-1). Start nodes must not be blocked. The search keeps
+    its own stack, so no depth of graph hits the recursion limit.
+    """
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen and w not in blocked:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 class Graph:
     """Immutable simple graph with optional monitors and metrics.
 
@@ -147,15 +174,8 @@ class Graph:
     def is_connected(self):
         if not self.nodes:
             return True
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            v = stack.pop()
-            for w, _ in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        adj = {v: [w for w, _ in a] for v, a in self._adj.items()}
+        return len(reachable(adj, self.nodes[:1])) == self.n
 
     # -- derivation ---------------------------------------------------
 
@@ -280,7 +300,7 @@ class MultiGraph:
     """Graph that allows parallel links, each tagged real or virtual.
 
     Virtual links are bookkeeping artifacts of the decomposition
-    machinery (and of monitor augmentation); input graphs are always
+    machinery (and of the predicate's bypass link); input graphs are always
     simple. This class is deliberately loose: no adjacency cache, no
     strict validation, just the fields the structural algorithms need.
     """
@@ -304,39 +324,12 @@ class MultiGraph:
         return {eid: pair for eid, pair in self.links.items()
                 if eid not in self.virtual}
 
-    def degree(self, v):
-        return sum(1 for u, w in self.links.values() if v in (u, w))
-
     def is_connected(self):
         if not self.nodes:
             return True
-        adj = {v: [] for v in self.nodes}
-        for u, w in self.links.values():
-            adj[u].append(w)
-            adj[w].append(u)
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.nodes)
+        adj = node_adjacency(self.nodes, self.links.values())
+        return len(reachable(adj, self.nodes[:1])) == self.n
 
     def __repr__(self):
         return (f"MultiGraph(n={self.n}, m={self.m}, "
                 f"virtual={sorted(self.virtual)})")
-
-
-def augment_with_monitor_link(g):
-    """The graph plus one virtual link joining its two monitors.
-
-    The added link is parallel to the real monitor-monitor link when
-    one exists. Its id is one past the largest real link id.
-    """
-    m1, m2 = g.require_monitors()
-    vid = (max(g.links) + 1) if g.links else 0
-    links = dict(g.links)
-    links[vid] = _normalize(m1, m2)
-    return MultiGraph(g.nodes, links, virtual=(vid,))

@@ -16,7 +16,7 @@ a constant-time row inspection.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 

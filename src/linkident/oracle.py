@@ -79,14 +79,11 @@ def _walk_paths(g, m1, m2, cap, visit):
     return count
 
 
-def enumerate_simple_paths(g, m1=None, m2=None, cap=DEFAULT_PATH_CAP,
-                           allow_monitor_transit=False):
+def enumerate_simple_paths(g, m1=None, m2=None, cap=DEFAULT_PATH_CAP):
     """All simple paths between the monitors, as node tuples.
 
     Deterministic lexicographic order. With exactly two monitors a
-    simple path can never revisit an endpoint, so
-    allow_monitor_transit cannot change the result; the flag exists
-    for sensitivity experiments and is accepted unchanged.
+    simple path can never pass through a monitor in transit.
     """
     if m1 is None or m2 is None:
         m1, m2 = g.require_monitors()
@@ -175,8 +172,7 @@ def _feed_echelon(g, m1, m2, cap, carry_rhs=False, early_exit=True):
 
 
 def identifiable_links_bruteforce(g, monitors=None,
-                                  path_cap=DEFAULT_PATH_CAP,
-                                  allow_monitor_transit=False):
+                                  path_cap=DEFAULT_PATH_CAP):
     """Set of link ids whose metric the full path set pins down.
 
     The exact row-space membership test: link l is identifiable iff
@@ -207,8 +203,7 @@ class OracleResult:
         return eid in self.identifiable
 
 
-def oracle_analysis(g, monitors=None, path_cap=DEFAULT_PATH_CAP,
-                    allow_monitor_transit=False):
+def oracle_analysis(g, monitors=None, path_cap=DEFAULT_PATH_CAP):
     """Oracle verdicts plus exact path count, rank, and values.
 
     Unlike identifiable_links_bruteforce this never stops early, so

@@ -42,8 +42,8 @@ from .decomposition import (
     biconnected_components,
     decompose_links,
 )
-from .errors import NoPath, UnknownPair, WrongAgentCount
-from .graph import Graph
+from .errors import UnknownPair, WrongAgentCount
+from .graph import Graph, reachable
 from .oracle import DEFAULT_PATH_CAP, identifiable_links_bruteforce
 
 RULE_DIRECT = "direct-agent-link"
@@ -84,15 +84,6 @@ class Category(Enum):
     TRANSIT_TRIANGLE = "transit-triangle"
     SINGLE_LINK = "single-link"
     FALLBACK = "fallback"
-
-
-class SplitPairClass(Enum):
-    """How many agents lie strictly beyond a split pair, seen from one
-    component. Agents inside the component are never beyond."""
-
-    NONE_BEYOND = "none-beyond"
-    ONE_BEYOND = "one-beyond"
-    TWO_BEYOND = "two-beyond"
 
 
 @dataclass(frozen=True)
@@ -144,23 +135,16 @@ class Structure:
         key = (bid, cid, vid)
         if key not in self._far:
             d = self.tri(bid)
-            seen = {cid}
-            frontier = [d.partner(cid, vid)]
+            tree = {c.cid: [d.partner(c.cid, v) for v in c.virtuals]
+                    for c in d.components}
             nodes = set()
-            while frontier:
-                c = frontier.pop()
-                if c in seen:
-                    continue
-                seen.add(c)
-                comp = d.components[c]
-                nodes.update(comp.nodes)
-                frontier.extend(d.partner(c, v2) for v2 in comp.virtuals)
+            for c in reachable(tree, (d.partner(cid, vid),), {cid}):
+                nodes.update(d.components[c].nodes)
             nodes.difference_update(d.pair_nodes[vid])
             self._far[key] = frozenset(nodes)
         return self._far[key]
 
-    def block_oracle(self, bid, agents, path_cap=DEFAULT_PATH_CAP,
-                     allow_monitor_transit=False):
+    def block_oracle(self, bid, agents, path_cap=DEFAULT_PATH_CAP):
         """Exact identifiable set of one block, measured between its
         agents. Returns original link ids."""
         key = (bid, tuple(sorted(agents)))
@@ -170,9 +154,7 @@ class Structure:
             sub = Graph(sorted(block.nodes),
                         [self.g.links[eid] for eid in ids],
                         monitors=tuple(sorted(agents)))
-            pos = identifiable_links_bruteforce(
-                sub, path_cap=path_cap,
-                allow_monitor_transit=allow_monitor_transit)
+            pos = identifiable_links_bruteforce(sub, path_cap=path_cap)
             self._block_oracle[key] = frozenset(ids[i] for i in pos)
         return self._block_oracle[key]
 
@@ -222,25 +204,6 @@ def _pairs_beyond(st, bid, comp, agent):
             if pair not in out:
                 out.append(pair)
     return out
-
-
-def classify_split_pair(st, bid, cid, pair, agents):
-    """How many of the two agents sit strictly beyond this split pair
-    of component cid."""
-    distinct = _require_two_agents(agents)
-    d = st.tri(bid)
-    comp = d.component(cid)
-    a, b = pair
-    key = (a, b) if a < b else (b, a)
-    vids = [vid for vid in comp.virtuals if d.pair_nodes[vid] == key]
-    if not vids:
-        raise UnknownPair(f"{key} is not a split pair of component {cid}")
-    in_comp = set(comp.nodes)
-    count = sum(1 for ag in distinct
-                if ag not in in_comp
-                and any(ag in st.far_nodes(bid, cid, vid) for vid in vids))
-    return (SplitPairClass.NONE_BEYOND, SplitPairClass.ONE_BEYOND,
-            SplitPairClass.TWO_BEYOND)[count]
 
 
 def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
@@ -316,49 +279,6 @@ def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
                               det_pairs=det)
     return Classification(category=Category.TRANSIT_TRIANGLE,
                           det_pairs=det)
-
-
-def replace_virtual_link(st, bid, cid, vid):
-    """Real links forming a path that realizes a virtual link.
-
-    Seen from component cid, virtual link vid stands for the far side
-    of its split pair. This walks that far side and returns a tuple of
-    real link ids forming a simple path between the pair's nodes,
-    recursively expanding any virtual links on the way.
-    """
-    d = st.tri(bid)
-    if vid not in d.pair_nodes:
-        raise UnknownPair(f"{vid} is not a virtual link")
-    other = d.partner(cid, vid)
-    comp = d.component(other)
-    x, y = d.pair_nodes[vid]
-    prev = {x: None}
-    queue = [x]
-    while queue and y not in prev:
-        v = queue.pop(0)
-        for eid, (a, b) in sorted(comp.links.items()):
-            if eid == vid or a != v and b != v:
-                continue
-            w = b if a == v else a
-            if w not in prev:
-                prev[w] = (v, eid)
-                queue.append(w)
-    if y not in prev:
-        raise NoPath(f"no path realizes virtual link {vid}")
-    hops = []
-    v = y
-    while prev[v] is not None:
-        u, eid = prev[v]
-        hops.append(eid)
-        v = u
-    hops.reverse()
-    out = []
-    for eid in hops:
-        if eid in comp.virtuals:
-            out.extend(replace_virtual_link(st, bid, other, eid))
-        else:
-            out.append(eid)
-    return tuple(out)
 
 
 # -- verdict assembly ---------------------------------------------------
@@ -549,9 +469,8 @@ def _mark_transit_triangle(d, comp, cls, claims):
         claims.claim(sc_real, ok, RULE_SHORTCUT if ok else RULE_BLOCKED)
 
 
-def _analyze_block(st, block, agents, monitors, path_cap,
-                   allow_monitor_transit, claims, categories,
-                   fallback_blocks):
+def _analyze_block(st, block, agents, monitors, path_cap, claims,
+                   categories, fallback_blocks):
     a1, a2 = agents
     if a1 == a2:
         for eid in block.links:
@@ -583,8 +502,7 @@ def _analyze_block(st, block, agents, monitors, path_cap,
 
     if any(cls.category is Category.FALLBACK for _, cls in classified):
         fallback_blocks.add(block.bid)
-        ident = st.block_oracle(block.bid, agents, path_cap,
-                                allow_monitor_transit)
+        ident = st.block_oracle(block.bid, agents, path_cap)
         for eid in block.links:
             if eid == direct:
                 continue
@@ -605,8 +523,7 @@ def _analyze_block(st, block, agents, monitors, path_cap,
 
     unresolved = sorted(eid for eid in deferred if eid not in claims)
     if unresolved:
-        ident = st.block_oracle(block.bid, agents, path_cap,
-                                allow_monitor_transit)
+        ident = st.block_oracle(block.bid, agents, path_cap)
         for eid in unresolved:
             claims.claim(eid, eid in ident, RULE_DEFERRED)
 
@@ -614,16 +531,12 @@ def _analyze_block(st, block, agents, monitors, path_cap,
     assert not missing, f"links {missing} of block {block.bid} unmarked"
 
 
-def analyze(g, monitors=None, path_cap=DEFAULT_PATH_CAP,
-            allow_monitor_transit=False, structure=None):
+def analyze(g, monitors=None, path_cap=DEFAULT_PATH_CAP, structure=None):
     """Structural identifiability verdict for every link of g.
 
     monitors overrides the pair stored on the graph. structure may be
     a Structure built from a graph with the same nodes and links, to
     share decomposition work across monitor placements.
-    allow_monitor_transit is accepted for interface symmetry with the
-    oracle; with exactly two monitors it changes nothing, because a
-    simple path never revisits its own endpoints.
     """
     if monitors is not None:
         g = g.with_monitors(*monitors)
@@ -638,8 +551,8 @@ def analyze(g, monitors=None, path_cap=DEFAULT_PATH_CAP,
     assignments = locate_agents(g, structure.bct)
     for block in structure.bct.blocks:
         _analyze_block(structure, block, assignments[block.bid].agents,
-                       (m1, m2), path_cap, allow_monitor_transit,
-                       claims, categories, fallback_blocks)
+                       (m1, m2), path_cap, claims, categories,
+                       fallback_blocks)
     home = {eid: b.bid for b in structure.bct.blocks for eid in b.links}
     verdicts = {}
     for eid, pair in g.links.items():

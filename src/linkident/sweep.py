@@ -29,8 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 from .connectivity import interior_identifiability_predicate
-from .generators import SweepConfig, enumerate_all_connected_graphs, generate_graph
-from .graph import Graph
+from .generators import enumerate_all_connected_graphs, generate_graph
 from .oracle import DEFAULT_PATH_CAP, identifiable_links_bruteforce
 from .structural import RULE_DEFERRED, RULE_FALLBACK, Structure, analyze
 
@@ -69,8 +68,7 @@ def fingerprint(g):
     return tuple(sorted(g.links.values()))
 
 
-def diff_instance(g, path_cap=DEFAULT_PATH_CAP,
-                  allow_monitor_transit=False, structure=None,
+def diff_instance(g, path_cap=DEFAULT_PATH_CAP, structure=None,
                   oracle_set=None, report=None):
     """Run both engines on one monitored graph.
 
@@ -80,13 +78,9 @@ def diff_instance(g, path_cap=DEFAULT_PATH_CAP,
     the caller already ran it.
     """
     if report is None:
-        report = analyze(g, path_cap=path_cap,
-                         allow_monitor_transit=allow_monitor_transit,
-                         structure=structure)
+        report = analyze(g, path_cap=path_cap, structure=structure)
     if oracle_set is None:
-        oracle_set = identifiable_links_bruteforce(
-            g, path_cap=path_cap,
-            allow_monitor_transit=allow_monitor_transit)
+        oracle_set = identifiable_links_bruteforce(g, path_cap=path_cap)
     rows = []
     mismatch = False
     for eid in sorted(g.links):

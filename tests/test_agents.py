@@ -10,7 +10,6 @@ from linkident import (
     MonitorsUnset,
     UnknownBlock,
     biconnected_components,
-    distinct_agent_count,
     gnp_connected,
     identifiable_links_bruteforce,
     locate_agents,
@@ -29,8 +28,7 @@ def test_agents_of_two_triangles_with_far_monitors():
     assert a0.connecting_paths == ((0,), (3, 2))
     assert a1.agents == (2, 3)
     assert a1.connecting_paths == ((0, 2), (3,))
-    assert distinct_agent_count(agents, 0) == 2
-    assert distinct_agent_count(agents, 1) == 2
+    assert len(set(a0.agents)) == len(set(a1.agents)) == 2
 
 
 def test_monitors_inside_the_block_are_their_own_agents():
@@ -52,14 +50,13 @@ def test_leaf_block_behind_one_cut_has_a_single_agent():
     agents = locate_agents(g)
     assert agents[1].agents == (2, 2)
     assert agents[1].connecting_paths == ((0, 2), (1, 2))
-    assert distinct_agent_count(agents, 0) == 2
-    assert distinct_agent_count(agents, 1) == 1
+    assert len(set(agents[0].agents)) == 2
+    assert len(set(agents[1].agents)) == 1
 
 
 def test_unknown_block_and_missing_monitors():
-    agents = locate_agents(two_triangles().with_monitors(0, 1))
     with pytest.raises(UnknownBlock):
-        distinct_agent_count(agents, 7)
+        biconnected_components(two_triangles()).block(7)
     with pytest.raises(MonitorsUnset):
         locate_agents(two_triangles())
 
@@ -102,7 +99,7 @@ def test_single_agent_blocks_carry_no_usable_measurements():
         bct = biconnected_components(g)
         agents = locate_agents(g, bct)
         solo = [b for b in bct.blocks
-                if distinct_agent_count(agents, b.bid) == 1]
+                if len(set(agents[b.bid].agents)) == 1]
         if not solo:
             continue
         identifiable = identifiable_links_bruteforce(g)

@@ -60,13 +60,6 @@ def test_analyze_missing_file(capsys, tmp_path):
     assert "ParseError" in capsys.readouterr().err
 
 
-def test_analyze_accepts_transit_flag(triangle_file, capsys):
-    assert main(["analyze", "--input", triangle_file,
-                 "--allow-monitor-transit"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["summary"]["total"] == 3
-
-
 def test_analyze_writes_verdict_dot(triangle_file, tmp_path, capsys):
     dot = tmp_path / "report.dot"
     assert main(["analyze", "--input", triangle_file,
@@ -151,6 +144,23 @@ def test_exhaustive_three_nodes_is_clean(capsys):
 def test_exhaustive_rejects_a_range(capsys):
     assert main(["exhaustive", "--nodes", "3,4"]) == 2
     assert "single node count" in capsys.readouterr().err
+
+
+def test_exhaustive_rejects_node_counts_outside_two_to_seven(capsys):
+    for count in ("1", "9"):
+        assert main(["exhaustive", "--nodes", count]) == 2
+        assert "error: ParseError:" in capsys.readouterr().err
+
+
+def test_recursion_error_maps_to_exit_two(tmp_path, capsys):
+    n = 3000
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "nodes": list(range(n)),
+        "edges": [[i, i + 1] for i in range(n - 1)],
+        "monitors": [0, n - 1]}))
+    assert main(["oracle", "--input", str(path)]) == 2
+    assert "error: RecursionError:" in capsys.readouterr().err
 
 
 def test_dot_subcommand_writes_all_views(triangle_file, tmp_path,

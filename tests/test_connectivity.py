@@ -2,12 +2,15 @@
 max-flow implementation, plus the interior identifiability predicate."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from linkident import (
     Graph,
     MonitorsUnset,
+    MultiGraph,
+    PathExplosion,
     TooSmall,
     enumerate_all_connected_graphs,
     gnp_connected,
@@ -18,7 +21,9 @@ from linkident import (
     k_edge_connected,
     k_vertex_connected,
 )
+from linkident import connectivity
 from linkident.connectivity import _three_edge_connected
+from linkident.decomposition import _separation_classes
 
 from helpers import (
     c5,
@@ -29,6 +34,7 @@ from helpers import (
     prism,
     triangle,
     vertex_connectivity,
+    vertex_disjoint_paths,
 )
 
 
@@ -152,3 +158,58 @@ def test_has_disjoint_fan():
     assert has_disjoint_fan([0, 1, 2, 3, 4], p, (0, 4), (1, 3))
     bw = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
     assert has_disjoint_fan([0, 1, 2, 3], bw, (2, 3), (0, 1))
+
+
+def fan_by_max_flow(nodes, pairs, sources, targets):
+    """Reference: a super-source joined to both sources and a super-sink
+    joined to both targets carry two vertex-disjoint paths."""
+    s, t = "S", "T"
+    extra = [(s, x) for x in sources] + [(t, y) for y in targets]
+    return vertex_disjoint_paths(list(nodes) + [s, t], list(pairs) + extra,
+                                 s, t) >= 2
+
+
+def fan_cases(g):
+    for sources in combinations(g.nodes, 2):
+        rest = [v for v in g.nodes if v not in sources]
+        for targets in combinations(rest, 2):
+            yield sources, targets
+
+
+def test_has_disjoint_fan_matches_max_flow_on_small_graphs():
+    checked = 0
+    for n in range(4, 6):
+        for g in enumerate_all_connected_graphs(n):
+            pairs = list(g.links.values())
+            for sources, targets in fan_cases(g):
+                assert has_disjoint_fan(g.nodes, pairs, sources, targets) \
+                    == fan_by_max_flow(g.nodes, pairs, sources, targets)
+                checked += 1
+    assert checked == 38 * 6 + 728 * 30
+
+
+def test_has_disjoint_fan_matches_max_flow_on_random_graphs():
+    for i in range(50):
+        rng = random.Random(52_000 + i)
+        g = gnp_connected(rng.randint(4, 12), rng.uniform(0.2, 0.6), rng)
+        pairs = list(g.links.values())
+        for _ in range(5):
+            picked = rng.sample(g.nodes, 4)
+            sources, targets = picked[:2], picked[2:]
+            assert has_disjoint_fan(g.nodes, pairs, sources, targets) \
+                == fan_by_max_flow(g.nodes, pairs, sources, targets)
+
+
+def test_searches_run_on_a_path_of_5000_nodes():
+    g = path_graph(4999)
+    assert g.is_connected()
+    assert is_connected(g)
+    assert MultiGraph(g.nodes, g.links).is_connected()
+    classes = _separation_classes(g.links, 1, 4998)
+    assert [len(c) for c in classes] == [1, 4997, 1]
+
+
+def test_interior_predicate_path_walk_is_bounded(monkeypatch):
+    monkeypatch.setattr(connectivity, "DEFAULT_PATH_CAP", 1)
+    with pytest.raises(PathExplosion):
+        interior_identifiability_predicate(k4(monitors=(0, 1)))

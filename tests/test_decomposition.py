@@ -20,7 +20,6 @@ from linkident import (
     enumerate_all_connected_graphs,
     grid,
     k_vertex_connected,
-    neighboring_components,
     random_biconnected,
     reassemble,
     triconnected_components,
@@ -164,7 +163,6 @@ def test_neighboring_components_expands_through_the_bond():
     ns = tri.neighboring_components(1, (0, 1))
     assert ns.components == (2,)
     assert ns.real_link == 0
-    assert neighboring_components(tri, 1, (0, 1)) == ns
     assert tri.neighboring_components(1, (1, 0)) == ns
 
 

@@ -15,7 +15,6 @@ from linkident import (
     ParseError,
     SelfLoop,
     UnknownNode,
-    augment_with_monitor_link,
 )
 
 from helpers import k23, triangle
@@ -168,20 +167,5 @@ def test_multigraph_parallel_links_and_virtual_bookkeeping():
     assert mg.m == 3 and mg.n == 3
     assert mg.links[1] == (0, 1)
     assert mg.real_links() == {0: (0, 1), 2: (1, 2)}
-    assert mg.degree(1) == 3
     assert mg.is_connected()
     assert not MultiGraph([0, 1, 2], {0: (0, 1)}).is_connected()
-
-
-def test_augment_with_monitor_link():
-    g = triangle(monitors=(0, 1))
-    aug = augment_with_monitor_link(g)
-    assert aug.virtual == {3}
-    assert aug.links[3] == (0, 1)
-    assert aug.m == 4
-    # allowed to sit parallel to the real direct link
-    assert aug.links[0] == (0, 1)
-    bare = Graph([0, 1], [], monitors=(0, 1))
-    assert augment_with_monitor_link(bare).links == {0: (0, 1)}
-    with pytest.raises(MonitorsUnset):
-        augment_with_monitor_link(triangle(monitors=None))

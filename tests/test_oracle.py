@@ -56,12 +56,6 @@ def test_path_cap_is_a_hard_error():
         enumerate_simple_paths(k4(monitors=(0, 1)), cap=3)
 
 
-def test_monitor_transit_flag_changes_nothing_with_two_monitors():
-    g = k4(monitors=(2, 0))
-    assert enumerate_simple_paths(g) == enumerate_simple_paths(
-        g, allow_monitor_transit=True)
-
-
 def test_measurement_matrix_triangle():
     g = triangle(monitors=(0, 1))
     system = build_measurement_matrix(enumerate_simple_paths(g), g)

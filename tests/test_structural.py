@@ -9,17 +9,13 @@ from linkident import (
     ALL_RULES,
     Category,
     Graph,
-    SplitPairClass,
     Structure,
-    UnknownPair,
     WrongAgentCount,
     analyze,
     classify_component,
-    classify_split_pair,
     diff_instance,
     gnp_connected,
     identifiable_links_bruteforce,
-    replace_virtual_link,
 )
 from linkident.structural import _Claims
 
@@ -227,6 +223,8 @@ def test_classify_component_pins():
     assert cls.inner_agent == 2 and cls.toward_pair == (0, 1)
     with pytest.raises(ValueError):
         classify_component(stb, 0, 0, (2, 3))
+    with pytest.raises(WrongAgentCount):
+        classify_component(stb, 0, 1, (2, 2))
 
     st8 = Structure(transit_rigid_instance())
     cls = classify_component(st8, 0, 1, (6, 7))
@@ -237,52 +235,6 @@ def test_classify_component_pins():
     cls = classify_component(stc, 0, 2, (4, 5))
     assert cls.category is Category.TRANSIT_TRIANGLE
     assert cls.det_pairs == ((1, 2), (1, 3))
-
-
-def test_classify_split_pair_pins():
-    st = Structure(bowtie_on_edge())
-    assert classify_split_pair(st, 0, 1, (0, 1), (2, 3)) is \
-        SplitPairClass.ONE_BEYOND
-    assert classify_split_pair(st, 0, 1, (0, 1), (0, 2)) is \
-        SplitPairClass.NONE_BEYOND
-    assert classify_split_pair(st, 0, 0, (0, 1), (2, 3)) is \
-        SplitPairClass.TWO_BEYOND
-    with pytest.raises(UnknownPair):
-        classify_split_pair(st, 0, 1, (0, 2), (2, 3))
-    with pytest.raises(WrongAgentCount):
-        classify_split_pair(st, 0, 1, (0, 1), (2, 2))
-    with pytest.raises(WrongAgentCount):
-        classify_component(st, 0, 1, (2, 2))
-
-
-def test_replace_virtual_link_pins():
-    st = Structure(bowtie_on_edge())
-    assert replace_virtual_link(st, 0, 1, 5) == (0,)
-    with pytest.raises(UnknownPair):
-        replace_virtual_link(st, 0, 1, 99)
-
-    dia = Graph(range(5), [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-                           (0, 4), (4, 1)])
-    std = Structure(dia)
-    d = std.tri(0)
-    poly = next(c for c in d.components if c.kind == "polygon")
-    assert replace_virtual_link(std, 0, poly.cid, min(poly.virtuals)) \
-        == (0, 2)
-
-
-def test_replacement_paths_join_the_pair_with_real_links():
-    g = hanging_component_instance()
-    st = Structure(g)
-    d = st.tri(0)
-    for comp in d.components:
-        for vid in comp.virtuals:
-            path = replace_virtual_link(st, 0, comp.cid, vid)
-            assert path
-            assert all(eid in g.links for eid in path)
-            ends = set(d.pair_nodes[vid])
-            seq = [g.links[eid] for eid in path]
-            walk = {x for pair in seq for x in pair}
-            assert ends <= walk
 
 
 # -- engine plumbing ----------------------------------------------------
@@ -302,12 +254,6 @@ def test_shared_structure_and_monitor_override():
     assert analyze(g, monitors=(0, 5), structure=st).to_json() == base
     with pytest.raises(ValueError):
         analyze(bowtie_on_edge().with_monitors(0, 1), structure=st)
-
-
-def test_monitor_transit_flag_is_accepted_and_inert():
-    g = prism(monitors=(0, 5))
-    assert analyze(g, allow_monitor_transit=True).to_json() == \
-        analyze(g).to_json()
 
 
 def test_claims_keep_the_first_rule_and_reject_conflicts():
