@@ -88,7 +88,9 @@ def _bridgeless_connected(nodes, links, skip):
     """Is the multigraph connected with no bridge, ignoring link skip?
 
     links is a list of (link id, (u, v)); parallel links shield each
-    other (the DFS tracks parent link ids, not parent nodes).
+    other (the DFS tracks parent link ids, not parent nodes). One
+    iterative lowpoint pass (Tarjan 1972): the tree link into w is a
+    bridge when low[w] > disc[parent of w].
     """
     adj = {v: [] for v in nodes}
     for eid, (u, w) in links:
@@ -96,28 +98,31 @@ def _bridgeless_connected(nodes, links, skip):
             continue
         adj[u].append((w, eid))
         adj[w].append((u, eid))
-    disc = {}
-    low = {}
-    counter = [0]
-    ok = [True]
-
-    def dfs(v, parent_link):
-        disc[v] = low[v] = counter[0]
-        counter[0] += 1
-        for w, eid in adj[v]:
-            if eid == parent_link:
-                continue
-            if w not in disc:
-                dfs(w, eid)
-                low[v] = min(low[v], low[w])
-                if low[w] > disc[v]:
-                    ok[0] = False
-            else:
-                low[v] = min(low[v], disc[w])
-
     first = next(iter(nodes))
-    dfs(first, None)
-    return ok[0] and len(disc) == len(nodes)
+    disc = {first: 0}
+    low = {first: 0}
+    stack = [(first, None, iter(adj[first]))]
+    while stack:
+        v, via, todo = stack[-1]
+        for w, eid in todo:
+            if eid == via:
+                continue
+            if w in disc:
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+                continue
+            disc[w] = low[w] = len(disc)
+            stack.append((w, eid, iter(adj[w])))
+            break
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] > disc[u]:
+                    return False
+                if low[v] < low[u]:
+                    low[u] = low[v]
+    return len(disc) == len(nodes)
 
 
 def _three_edge_connected(g):

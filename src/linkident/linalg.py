@@ -7,158 +7,195 @@ whose rows are path incidence vectors:
   * what value does a consistent system M x = c force onto x_l,
   * a nullspace vector witnessing that x_l is not forced.
 
-Everything here is integer or Fraction arithmetic; no floats. Rows are
-reduced incrementally (fraction-free cross-multiplication, then a gcd
-squeeze per row) so intermediate entries stay near minor size, and a
-reduced echelon pass at the end makes every unit-vector membership test
-a constant-time row inspection.
+Everything here is integer or Fraction arithmetic; no floats. The
+state is not the rows of M but an integer basis of its nullspace
+{x : M x = 0}, as sparse vectors. A row lies in the row space exactly
+when its dot product with every basis vector is 0, so a row that adds
+nothing to the span (most path rows) costs one short dot product per
+basis vector and changes nothing. Only a row that raises the rank
+touches the basis: it is cleared from the later basis vectors by
+fraction-free cross-multiplication and a gcd squeeze. The basis is
+kept in a form that is canonical up to scale, so the reduced nullspace
+basis is read off it without any elimination pass.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
 from .errors import InconsistentSystem
 
 
-def _squeeze(row):
-    """Divide out the gcd and make the leading entry positive.
-
-    Returns (row, divisor) where divisor is the signed integer the row
-    was divided by, or (None, 0) for a zero row.
-    """
-    g = 0
-    lead = -1
-    for j, x in enumerate(row):
-        if x:
-            if lead < 0:
-                lead = j
-            g = gcd(g, x)
-    if lead < 0:
-        return None, 0
-    if row[lead] < 0:
-        g = -g
+def _squeeze(vec):
+    """Divide a {column: int} vector by the gcd of its entries."""
+    g = gcd(*vec.values())
     if g != 1:
-        row = [x // g for x in row]
-    return row, g
+        vec = {j: x // g for j, x in vec.items()}
+    return vec
+
+
+def _dots(row, vecs):
+    """Dot products of an integer row (a list) with sparse vectors."""
+    return [sum([x * row[j] for j, x in v.items()]) for v in vecs]
+
+
+def _split(rhs):
+    """(numerator, denominator) of a right-hand side; None counts as 0."""
+    if rhs is None:
+        return 0, 1
+    if not isinstance(rhs, (int, Fraction)):
+        rhs = Fraction(rhs)
+    return rhs.numerator, rhs.denominator
 
 
 class IntegerEchelon:
-    """Streaming exact row reduction with optional right-hand sides.
+    """Streaming exact rank and span tests, with optional right-hand sides.
 
-    Rows are integer lists of a fixed width. add() folds each new row
-    into an echelon basis and reports whether it enlarged the span.
-    When carry_rhs is true, each row drags a Fraction right-hand side
-    through the same operations, which is what makes exact value
-    recovery and consistency checking possible.
+    Rows are integer lists of a fixed width. The state is a basis of
+    the nullspace of the rows added so far: one sparse {column: int}
+    vector per free column f, in order of f, starting from the
+    identity. The vector of f is nonzero at f, zero at every other free
+    column, and otherwise nonzero only at pivot columns below f.
+    Divided by its entry at f, it is the nullspace vector that reduced
+    row echelon form gives for f.
+
+    add() reports whether a row enlarged the span. A row whose dot
+    product with every vector is 0 is already in the span. Otherwise
+    the first vector with a nonzero product is the pivot: its free
+    column becomes a pivot column, it leaves the basis, and each later
+    vector with a nonzero product b is replaced by a * vec - b * pivot
+    (a the pivot's product; by vec - b/a * pivot when a is 1 or -1),
+    divided by the gcd of its entries. That keeps the layout above,
+    since the pivot is zero at every later free column and its other
+    entries lie below them.
+
+    When carry_rhs is true, the echelon also keeps the one solution of
+    the rows so far that is 0 on every free column, as integer
+    numerators over one common denominator. A row that raises the rank
+    moves it along the pivot vector until it meets that row too; a row
+    already in the span must agree with it, or the system is marked
+    inconsistent.
     """
 
-    __slots__ = ("ncols", "rows", "cols", "rhs", "carry_rhs",
-                 "inconsistent", "_rref_done")
+    __slots__ = ("ncols", "null", "free", "carry_rhs", "num", "den",
+                 "inconsistent", "_support")
 
     def __init__(self, ncols, carry_rhs=False):
         self.ncols = ncols
-        self.rows = []          # echelon rows, parallel to cols
-        self.cols = []          # sorted pivot column of each row
-        self.rhs = [] if carry_rhs else None
+        self.null = [{j: 1} for j in range(ncols)]
+        self.free = list(range(ncols))   # free column of each vector
         self.carry_rhs = carry_rhs
+        self.num = [0] * ncols if carry_rhs else None
+        self.den = 1
         self.inconsistent = False
-        self._rref_done = True
+        self._support = None    # columns some vector touches, cached
 
     @property
     def rank(self):
-        return len(self.rows)
+        return self.ncols - len(self.null)
 
     @property
     def full_column_rank(self):
-        return len(self.rows) == self.ncols
-
-    def _fold(self, row, rhs):
-        """Reduce row against the current basis. Returns (row, rhs,
-        lead) with lead -1 for a fully reduced (zero) row."""
-        cols = self.cols
-        rows = self.rows
-        rhss = self.rhs
-        for i, c in enumerate(cols):
-            a = row[c]
-            if a:
-                p = rows[i]
-                pc = p[c]
-                row = [pc * x - a * y for x, y in zip(row, p)]
-                if rhs is not None:
-                    rhs = pc * rhs - a * rhss[i]
-        row, g = _squeeze(row)
-        if row is None:
-            return None, rhs, -1
-        if rhs is not None:
-            rhs = rhs / g
-        return row, rhs, next(j for j, x in enumerate(row) if x)
+        return not self.null
 
     def add(self, row, rhs=None):
-        """Fold one row (list of ints) into the basis.
+        """Add one row (list of ints) to the system.
 
-        Returns True when the row increased the rank. A zero reduction
-        with a nonzero right-hand side marks the system inconsistent.
+        Returns True when the row increased the rank. A row in the span
+        whose right-hand side disagrees with the rows before it marks
+        the system inconsistent.
         """
-        if self.carry_rhs:
-            rhs = Fraction(rhs if rhs is not None else 0)
+        null = self.null
+        # until a row raises the rank the basis is the identity
+        dots = list(row) if len(null) == self.ncols else _dots(row, null)
+        for i, a in enumerate(dots):
+            if a:
+                break
         else:
-            rhs = None
-        row, rhs, lead = self._fold(list(row), rhs)
-        if lead < 0:
-            if rhs is not None and rhs != 0:
-                self.inconsistent = True
+            if self.carry_rhs and not self.inconsistent:
+                rn, rd = _split(rhs)
+                if self._value(row) * rd != rn * self.den:
+                    self.inconsistent = True
             return False
-        at = bisect_left(self.cols, lead)
-        self.cols.insert(at, lead)
-        self.rows.insert(at, row)
-        if self.rhs is not None:
-            self.rhs.insert(at, rhs)
-        self._rref_done = False
+        pivot = null[i]
+        unit = a == 1 or a == -1
+        for k in range(i + 1, len(dots)):
+            b = dots[k]
+            if b:
+                if unit:        # (a * vec - b * pivot) / a
+                    vec = null[k].copy()
+                    b *= a
+                else:
+                    vec = {j: a * x for j, x in null[k].items()}
+                for j, y in pivot.items():
+                    z = vec.get(j, 0) - b * y
+                    if z:
+                        vec[j] = z
+                    else:
+                        del vec[j]
+                null[k] = _squeeze(vec)
+        del null[i], self.free[i]
+        if self.carry_rhs:
+            self._meet(row, rhs, a, pivot)
+        self._support = None
         return True
+
+    def _value(self, row):
+        """row . num, the row's value at the carried solution times den."""
+        return sum([x * y for x, y in zip(row, self.num) if x])
+
+    def _meet(self, row, rhs, a, pivot):
+        """Move the carried solution along pivot until it meets row.
+
+        pivot is orthogonal to every earlier row and zero at every
+        remaining free column, so the earlier rows stay met and the
+        solution stays 0 on the free columns.
+        """
+        rn, rd = _split(rhs)
+        den = self.den
+        gap = rn * den - self._value(row) * rd
+        if not gap:
+            return
+        # num/den + gap / (den * rd * a) * pivot, where row . pivot = a
+        scale = rd * a
+        num = [scale * x for x in self.num]
+        for j, y in pivot.items():
+            num[j] += gap * y
+        den *= scale
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
+        self.num, self.den = num, den
 
     def in_span(self, vec):
         """Exact membership of an integer vector in the row space."""
-        rhs = Fraction(0) if self.carry_rhs else None
-        _, _, lead = self._fold(list(vec), rhs)
-        return lead < 0
+        return not any(_dots(vec, self.null))
+
+    def unit_in_span(self, col):
+        """Is the unit vector for this column in the row space?"""
+        if self._support is None:
+            self._support = set().union(*self.null)
+        return col not in self._support
 
     # -- reduced form ---------------------------------------------------
 
     def to_reduced(self):
-        """Back-eliminate so every pivot column is zero in other rows.
+        """The canonical nullspace basis, as Fraction vectors.
 
-        Idempotent; unit membership and value reads require it.
+        One vector per free column f, in order of f: 1 at f and 0 at
+        every other free column. It is unique for a given row space;
+        each is a tracked vector divided by its entry at f.
         """
-        if self._rref_done:
-            return
-        rows = self.rows
-        cols = self.cols
-        rhss = self.rhs
-        for i in range(len(rows) - 1, 0, -1):
-            c = cols[i]
-            p = rows[i]
-            pc = p[c]
-            for j in range(i):
-                a = rows[j][c]
-                if a:
-                    q = [pc * x - a * y for x, y in zip(rows[j], p)]
-                    q, g = _squeeze(q)
-                    rows[j] = q
-                    if rhss is not None:
-                        rhss[j] = (pc * rhss[j] - a * rhss[i]) / g
-        self._rref_done = True
-
-    def unit_in_span(self, col):
-        """Is the unit vector for this column in the row space?"""
-        self.to_reduced()
-        at = bisect_left(self.cols, col)
-        if at == len(self.cols) or self.cols[at] != col:
-            return False
-        row = self.rows[at]
-        return all(x == 0 for j, x in enumerate(row) if j != col)
+        zero = Fraction(0)
+        basis = []
+        for f, vec in zip(self.free, self.null):
+            x = [zero] * self.ncols
+            for j, y in vec.items():
+                x[j] = Fraction(y, vec[f])
+            basis.append(x)
+        return basis
 
     def unit_value(self, col):
         """Value forced onto coordinate col by the carried system.
@@ -168,33 +205,14 @@ class IntegerEchelon:
         """
         if self.inconsistent:
             raise InconsistentSystem("system has no exact solution")
-        self.to_reduced()
-        at = bisect_left(self.cols, col)
-        return self.rhs[at] / self.rows[at][col]
+        return Fraction(self.num[col], self.den)
 
     def particular_solution(self):
         """One exact solution of the carried system (free coords 0)."""
         if self.inconsistent:
             raise InconsistentSystem("system has no exact solution")
-        self.to_reduced()
-        x = [Fraction(0)] * self.ncols
-        for i, c in enumerate(self.cols):
-            x[c] = self.rhs[i] / self.rows[i][c]
-        return x
+        return [Fraction(x, self.den) for x in self.num]
 
     def nullspace_basis(self):
         """Fraction vectors spanning {x : M x = 0}, one per free column."""
-        self.to_reduced()
-        pivot = set(self.cols)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot:
-                continue
-            x = [Fraction(0)] * self.ncols
-            x[f] = Fraction(1)
-            for i, c in enumerate(self.cols):
-                a = self.rows[i][f]
-                if a:
-                    x[c] = Fraction(-a, self.rows[i][c])
-            basis.append(x)
-        return basis
+        return self.to_reduced()

@@ -1,14 +1,18 @@
-"""Shared test fixtures-as-functions: small named graphs and an
-independent max-flow implementation.
+"""Shared test fixtures-as-functions: small named graphs, an
+independent max-flow implementation and a row-folding echelon.
 
 The connectivity cross-checks here deliberately reimplement Menger
 counting with augmenting paths instead of reusing the library code, so
 that the two sides of every comparison share nothing but the inputs.
+Likewise ReferenceEchelon keeps echelon rows, where the library's
+IntegerEchelon keeps a nullspace basis.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 
-from linkident import Graph
+from linkident import Graph, InconsistentSystem
 
 
 # -- small named graphs --------------------------------------------------
@@ -163,3 +167,156 @@ def path_sum(g, path_nodes, values):
     for a, b in zip(path_nodes, path_nodes[1:]):
         total += values[g.link_between(a, b)]
     return total
+
+
+# -- reference echelon -----------------------------------------------------
+
+def _squeeze_row(row):
+    """Divide out the gcd and make the leading entry positive.
+
+    Returns (row, divisor) where divisor is the signed integer the row
+    was divided by, or (None, 0) for a zero row.
+    """
+    g = 0
+    lead = -1
+    for j, x in enumerate(row):
+        if x:
+            if lead < 0:
+                lead = j
+            g = gcd(g, x)
+    if lead < 0:
+        return None, 0
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        row = [x // g for x in row]
+    return row, g
+
+
+class ReferenceEchelon:
+    """Exact row reduction by folding, with the API of IntegerEchelon.
+
+    Each row is folded against every echelon row (fraction-free
+    cross-multiplication, then a gcd squeeze) and kept sorted by its
+    pivot column; right-hand sides are Fractions dragged through the
+    same steps. Queries back-eliminate to reduced row echelon form
+    first. Slow, plain, and independent of the library's nullspace
+    tracking.
+    """
+
+    def __init__(self, ncols, carry_rhs=False):
+        self.ncols = ncols
+        self.rows = []          # echelon rows, parallel to cols
+        self.cols = []          # sorted pivot column of each row
+        self.rhs = [] if carry_rhs else None
+        self.carry_rhs = carry_rhs
+        self.inconsistent = False
+        self._rref_done = True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    @property
+    def full_column_rank(self):
+        return len(self.rows) == self.ncols
+
+    def _fold(self, row, rhs):
+        """Reduce row against the current basis. Returns (row, rhs,
+        lead) with lead -1 for a fully reduced (zero) row."""
+        for i, c in enumerate(self.cols):
+            a = row[c]
+            if a:
+                p = self.rows[i]
+                pc = p[c]
+                row = [pc * x - a * y for x, y in zip(row, p)]
+                if rhs is not None:
+                    rhs = pc * rhs - a * self.rhs[i]
+        row, g = _squeeze_row(row)
+        if row is None:
+            return None, rhs, -1
+        if rhs is not None:
+            rhs = rhs / g
+        return row, rhs, next(j for j, x in enumerate(row) if x)
+
+    def add(self, row, rhs=None):
+        if self.carry_rhs:
+            rhs = Fraction(rhs if rhs is not None else 0)
+        else:
+            rhs = None
+        row, rhs, lead = self._fold(list(row), rhs)
+        if lead < 0:
+            if rhs is not None and rhs != 0:
+                self.inconsistent = True
+            return False
+        at = bisect_left(self.cols, lead)
+        self.cols.insert(at, lead)
+        self.rows.insert(at, row)
+        if self.rhs is not None:
+            self.rhs.insert(at, rhs)
+        self._rref_done = False
+        return True
+
+    def in_span(self, vec):
+        rhs = Fraction(0) if self.carry_rhs else None
+        _, _, lead = self._fold(list(vec), rhs)
+        return lead < 0
+
+    def to_reduced(self):
+        """Back-eliminate so every pivot column is zero in other rows."""
+        if self._rref_done:
+            return
+        rows, cols, rhss = self.rows, self.cols, self.rhs
+        for i in range(len(rows) - 1, 0, -1):
+            c = cols[i]
+            p = rows[i]
+            pc = p[c]
+            for j in range(i):
+                a = rows[j][c]
+                if a:
+                    q = [pc * x - a * y for x, y in zip(rows[j], p)]
+                    q, g = _squeeze_row(q)
+                    rows[j] = q
+                    if rhss is not None:
+                        rhss[j] = (pc * rhss[j] - a * rhss[i]) / g
+        self._rref_done = True
+
+    def unit_in_span(self, col):
+        self.to_reduced()
+        at = bisect_left(self.cols, col)
+        if at == len(self.cols) or self.cols[at] != col:
+            return False
+        row = self.rows[at]
+        return all(x == 0 for j, x in enumerate(row) if j != col)
+
+    def unit_value(self, col):
+        if self.inconsistent:
+            raise InconsistentSystem("system has no exact solution")
+        self.to_reduced()
+        at = bisect_left(self.cols, col)
+        return self.rhs[at] / self.rows[at][col]
+
+    def particular_solution(self):
+        if self.inconsistent:
+            raise InconsistentSystem("system has no exact solution")
+        self.to_reduced()
+        x = [Fraction(0)] * self.ncols
+        for i, c in enumerate(self.cols):
+            x[c] = self.rhs[i] / self.rows[i][c]
+        return x
+
+    def nullspace_basis(self):
+        self.to_reduced()
+        pivot = set(self.cols)
+        basis = []
+        for f in range(self.ncols):
+            if f in pivot:
+                continue
+            x = [Fraction(0)] * self.ncols
+            x[f] = Fraction(1)
+            for i, c in enumerate(self.cols):
+                a = self.rows[i][f]
+                if a:
+                    x[c] = Fraction(-a, self.rows[i][c])
+            basis.append(x)
+        return basis

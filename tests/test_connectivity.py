@@ -22,7 +22,10 @@ from linkident import (
     k_vertex_connected,
 )
 from linkident import connectivity
-from linkident.connectivity import _three_edge_connected
+from linkident.connectivity import (
+    _bridgeless_connected,
+    _three_edge_connected,
+)
 from linkident.decomposition import _separation_classes
 
 from helpers import (
@@ -207,6 +210,43 @@ def test_searches_run_on_a_path_of_5000_nodes():
     assert MultiGraph(g.nodes, g.links).is_connected()
     classes = _separation_classes(g.links, 1, 4998)
     assert [len(c) for c in classes] == [1, 4997, 1]
+
+
+def cycle_links(n):
+    return [(i, (i, (i + 1) % n)) for i in range(n)]
+
+
+def test_bridgeless_test_runs_on_a_cycle_of_5000_nodes():
+    assert _bridgeless_connected(set(range(5000)), cycle_links(5000), None)
+
+
+def test_bridgeless_test_finds_the_pendant_link_of_a_5000_cycle():
+    links = cycle_links(5000) + [(5000, (4999, 5000))]
+    assert not _bridgeless_connected(set(range(5001)), links, None)
+
+
+def bridgeless_by_deletion(nodes, links, skip):
+    """Connected, and still connected after deleting any one link."""
+    kept = [(eid, pair) for eid, pair in links if eid != skip]
+    pairs = [pair for _, pair in kept]
+    return connectivity._connected(nodes, pairs) and all(
+        connectivity._connected(nodes, pairs[:i] + pairs[i + 1:])
+        for i in range(len(pairs)))
+
+
+def test_bridgeless_test_matches_deletion_on_random_multigraphs():
+    """Parallel links, loops of two links and a skipped link, against
+    deleting each link in turn."""
+    for case in range(300):
+        rng = random.Random(5100 + case)
+        n = rng.randint(1, 7)
+        links = [(eid, (rng.randrange(n), rng.randrange(n)))
+                 for eid in range(rng.randint(0, 12))]
+        links = [(eid, (u, w)) for eid, (u, w) in links if u != w]
+        skip = rng.choice([None] + [eid for eid, _ in links])
+        nodes = set(range(n))
+        assert _bridgeless_connected(nodes, links, skip) \
+            == bridgeless_by_deletion(nodes, links, skip)
 
 
 def test_interior_predicate_path_walk_is_bounded(monkeypatch):

@@ -1,12 +1,23 @@
-"""Exact echelon arithmetic against hand cases and a plain Fraction
-Gaussian elimination."""
+"""Exact echelon arithmetic against hand cases, a plain Fraction
+Gaussian elimination and the row-folding ReferenceEchelon."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from linkident import InconsistentSystem, IntegerEchelon
+from linkident import (
+    InconsistentSystem,
+    IntegerEchelon,
+    enumerate_all_connected_graphs,
+    enumerate_simple_paths,
+    grid,
+    linalg,
+)
+from linkident.oracle import build_measurement_matrix
+
+from helpers import ReferenceEchelon
 
 
 def fraction_rank(rows):
@@ -103,6 +114,42 @@ def test_membership_via_in_span_matches_unit_query():
         assert ech.unit_in_span(j) == ech.in_span(unit)
 
 
+def assert_same_as_reference(ncols, rows, rhss=None, probes=(),
+                             each_step=False):
+    """Feed rows (and right-hand sides, when given) to IntegerEchelon and
+    to ReferenceEchelon, and compare every answer the two give: after
+    the last row, and with each_step also the span after each."""
+    carry = rhss is not None
+    ech = IntegerEchelon(ncols, carry_rhs=carry)
+    ref = ReferenceEchelon(ncols, carry_rhs=carry)
+    for k, row in enumerate(rows):
+        rhs = rhss[k] if carry else None
+        assert ech.add(row, rhs) == ref.add(row, rhs)
+        assert ech.rank == ref.rank
+        assert ech.full_column_rank == ref.full_column_rank
+        assert ech.inconsistent == ref.inconsistent
+        if each_step:
+            assert ech.nullspace_basis() == ref.nullspace_basis()
+            assert [ech.unit_in_span(j) for j in range(ncols)] \
+                == [ref.unit_in_span(j) for j in range(ncols)]
+    units = [ech.unit_in_span(j) for j in range(ncols)]
+    assert units == [ref.unit_in_span(j) for j in range(ncols)]
+    for vec in list(rows) + list(probes):
+        assert ech.in_span(vec) == ref.in_span(vec)
+    assert ech.nullspace_basis() == ref.nullspace_basis()
+    if carry:
+        if ref.inconsistent:
+            for query in (ech.particular_solution,
+                          lambda: ech.unit_value(0)):
+                with pytest.raises(InconsistentSystem):
+                    query()
+        else:
+            assert ech.particular_solution() == ref.particular_solution()
+            for j in range(ncols):
+                if units[j]:
+                    assert ech.unit_value(j) == ref.unit_value(j)
+
+
 def test_against_fraction_gauss_on_random_matrices():
     for case in range(150):
         rng = random.Random(9200 + case)
@@ -126,6 +173,86 @@ def test_against_fraction_gauss_on_random_matrices():
         for vec in basis:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
+        # and every answer equals the row-folding reference's, without
+        # right-hand sides, with consistent ones, and with random ones
+        # (mostly inconsistent once a row repeats the span)
+        units = [[1 if i == j else 0 for i in range(ncols)]
+                 for j in range(ncols)]
+        probes = units + [[rng.randint(-3, 3) for _ in range(ncols)]
+                          for _ in range(5)]
+        truth = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                 for _ in range(ncols)]
+        sums = [sum(t * x for t, x in zip(truth, row)) for row in rows]
+        noisy = [rng.choice((rng.randint(-5, 5), Fraction(1, 3)))
+                 for _ in rows]
+        assert_same_as_reference(ncols, rows, probes=probes, each_step=True)
+        assert_same_as_reference(ncols, rows, sums, probes, each_step=True)
+        assert_same_as_reference(ncols, rows, noisy, probes)
+
+
+def test_matches_reference_on_wider_and_repeating_systems():
+    """Wider rows, larger entries and rows repeated with a wrong
+    right-hand side, so inconsistency strikes in mid-stream."""
+    for case in range(200):
+        rng = random.Random(4400 + case)
+        ncols = rng.randint(1, 10)
+        span = rng.choice((1, 5))
+        lo = 0 if span == 1 else -span
+        rows = [[rng.randint(lo, span) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 12))]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.insert(rng.randint(0, len(rows)),
+                        [x + 2 * y for x, y in zip(a, b)])
+        truth = [Fraction(rng.randint(1, 20), rng.randint(1, 6))
+                 for _ in range(ncols)]
+        rhss = [sum(t * x for t, x in zip(truth, row)) for row in rows]
+        if case % 3 == 0:
+            at = rng.randrange(len(rhss))
+            rhss[at] += Fraction(1, 7)
+        assert_same_as_reference(ncols, rows, rhss)
+
+
+def test_matches_reference_on_every_small_path_matrix():
+    """Path matrices of every connected graph on 2..5 nodes, for every
+    ordered monitor pair, with seeded rational metrics."""
+    systems = 0
+    for n in range(2, 6):
+        for index, g in enumerate(enumerate_all_connected_graphs(n)):
+            rng = random.Random(n * 10_000 + index)
+            g = g.with_metrics({eid: Fraction(rng.randint(1, 9),
+                                              rng.randint(1, 9))
+                                for eid in g.links})
+            for m1, m2 in permutations(g.nodes, 2):
+                paths = enumerate_simple_paths(g, m1, m2)
+                system = build_measurement_matrix(paths, g)
+                assert_same_as_reference(g.m, system.matrix, system.rhs)
+                systems += 1
+    assert systems == 2 + 6 * 4 + 12 * 38 + 20 * 728
+
+
+def test_redundant_paths_cost_no_elimination(monkeypatch):
+    """Every corner-to-corner path of the 5x5 grid: a row already in
+    the span is settled by dot products alone, so the vector squeezes
+    (one per elimination) stay within ncols**2 over all 8,512 rows."""
+    g = grid(5, 5)
+    rows = build_measurement_matrix(enumerate_simple_paths(g, 0, 24),
+                                    g).matrix
+    assert (len(rows), g.m) == (8512, 40)
+    calls = 0
+    squeeze = linalg._squeeze
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return squeeze(*args)
+
+    monkeypatch.setattr(linalg, "_squeeze", counted)
+    ech = IntegerEchelon(g.m)
+    for row in rows:
+        ech.add(row)
+    assert calls <= g.m ** 2
+    assert ech.rank == sum(map(ReferenceEchelon(g.m).add, rows))
 
 
 def test_solution_respects_all_equations():
