@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import InconsistentSystem
 
@@ -37,7 +38,15 @@ def _squeeze(vec):
 
 def _dots(row, vecs):
     """Dot products of an integer row (a list) with sparse vectors."""
-    return [sum([x * row[j] for j, x in v.items()]) for v in vecs]
+    # plain loops: before Python 3.12 a comprehension is a function
+    # call, which costs more than the few entries most vectors hold
+    dots = []
+    for v in vecs:
+        s = 0
+        for j, x in v.items():
+            s += x * row[j]
+        dots.append(s)
+    return dots
 
 
 def _split(rhs):
@@ -65,10 +74,9 @@ class IntegerEchelon:
     the first vector with a nonzero product is the pivot: its free
     column becomes a pivot column, it leaves the basis, and each later
     vector with a nonzero product b is replaced by a * vec - b * pivot
-    (a the pivot's product; by vec - b/a * pivot when a is 1 or -1),
-    divided by the gcd of its entries. That keeps the layout above,
-    since the pivot is zero at every later free column and its other
-    entries lie below them.
+    (a the pivot's product), divided by the gcd of its entries. That
+    keeps the layout above, since the pivot is zero at every later free
+    column and its other entries lie below them.
 
     When carry_rhs is true, the echelon also keeps the one solution of
     the rows so far that is 0 on every free column, as integer
@@ -107,8 +115,7 @@ class IntegerEchelon:
         the system inconsistent.
         """
         null = self.null
-        # until a row raises the rank the basis is the identity
-        dots = list(row) if len(null) == self.ncols else _dots(row, null)
+        dots = _dots(row, null)
         for i, a in enumerate(dots):
             if a:
                 break
@@ -119,15 +126,12 @@ class IntegerEchelon:
                     self.inconsistent = True
             return False
         pivot = null[i]
-        unit = a == 1 or a == -1
         for k in range(i + 1, len(dots)):
             b = dots[k]
             if b:
-                if unit:        # (a * vec - b * pivot) / a
-                    vec = null[k].copy()
-                    b *= a
-                else:
-                    vec = {j: a * x for j, x in null[k].items()}
+                vec = null[k].copy()
+                for j in vec:
+                    vec[j] *= a
                 for j, y in pivot.items():
                     z = vec.get(j, 0) - b * y
                     if z:
@@ -143,7 +147,7 @@ class IntegerEchelon:
 
     def _value(self, row):
         """row . num, the row's value at the carried solution times den."""
-        return sum([x * y for x, y in zip(row, self.num) if x])
+        return sum(map(mul, row, self.num))
 
     def _meet(self, row, rhs, a, pivot):
         """Move the carried solution along pivot until it meets row.
@@ -176,26 +180,19 @@ class IntegerEchelon:
     def unit_in_span(self, col):
         """Is the unit vector for this column in the row space?"""
         if self._support is None:
-            self._support = set().union(*self.null)
+            self.to_reduced()
         return col not in self._support
 
     # -- reduced form ---------------------------------------------------
 
     def to_reduced(self):
-        """The canonical nullspace basis, as Fraction vectors.
+        """Collect the columns some nullspace vector touches.
 
-        One vector per free column f, in order of f: 1 at f and 0 at
-        every other free column. It is unique for a given row space;
-        each is a tracked vector divided by its entry at f.
+        e_col is in the row space exactly when no vector touches col.
+        unit_in_span calls it when no set is cached: before the first
+        query and after each row that raises the rank.
         """
-        zero = Fraction(0)
-        basis = []
-        for f, vec in zip(self.free, self.null):
-            x = [zero] * self.ncols
-            for j, y in vec.items():
-                x[j] = Fraction(y, vec[f])
-            basis.append(x)
-        return basis
+        self._support = set().union(*self.null)
 
     def unit_value(self, col):
         """Value forced onto coordinate col by the carried system.
@@ -214,5 +211,17 @@ class IntegerEchelon:
         return [Fraction(x, self.den) for x in self.num]
 
     def nullspace_basis(self):
-        """Fraction vectors spanning {x : M x = 0}, one per free column."""
-        return self.to_reduced()
+        """The canonical basis of {x : M x = 0}, as Fraction vectors.
+
+        One vector per free column f, in order of f: 1 at f and 0 at
+        every other free column. It is unique for a given row space;
+        each is a tracked vector divided by its entry at f.
+        """
+        zero = Fraction(0)
+        basis = []
+        for f, vec in zip(self.free, self.null):
+            x = [zero] * self.ncols
+            for j, y in vec.items():
+                x[j] = Fraction(y, vec[f])
+            basis.append(x)
+        return basis
