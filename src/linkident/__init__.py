@@ -18,8 +18,6 @@ from .agents import AgentAssignment, locate_agents
 from .connectivity import (
     has_disjoint_fan,
     interior_identifiability_predicate,
-    is_connected,
-    k_edge_connected,
     k_vertex_connected,
 )
 from .decomposition import (
@@ -167,8 +165,6 @@ __all__ = [
     "has_disjoint_fan",
     "identifiable_links_bruteforce",
     "interior_identifiability_predicate",
-    "is_connected",
-    "k_edge_connected",
     "k_vertex_connected",
     "locate_agents",
     "oracle_analysis",

@@ -1,12 +1,12 @@
 """Connectivity predicates over graphs and multigraphs.
 
-The k-vertex and k-edge tests are brute force: delete every
-(k-1)-subset of nodes or links and search what remains, which at the
-scales this library works at (a few dozen nodes) is fast, trivially
-correct, and easy to cross-check against an independent max-flow
-formulation in the test suite. The 3-edge test instead runs one
-bridge-finding pass per deleted link, and the fan test one search per
-deleted node. Plain reachability goes through graph.reachable.
+Cut nodes and bridges come from graph.lowpoint, one iterative
+depth-first pass. A graph is 2-vertex-connected when one pass reaches
+every node and finds no cut node, and 3-vertex-connected when, for
+every node a, the pass without a reaches the rest and finds no cut
+node: n passes, O(n*(n+m)). The 3-edge test runs one bridge-finding
+pass per deleted link, and the fan test one search per deleted node.
+Plain reachability goes through graph.reachable.
 """
 
 from __future__ import annotations
@@ -14,23 +14,14 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import MonitorsUnset, TooSmall
-from .graph import MultiGraph, node_adjacency, reachable
+from .graph import (
+    MultiGraph,
+    link_adjacency,
+    lowpoint,
+    node_adjacency,
+    reachable,
+)
 from .oracle import DEFAULT_PATH_CAP, _walk_paths
-
-
-def _connected(nodes, pairs):
-    """Connectivity of an explicit node set / edge pair list."""
-    if not nodes:
-        return True
-    first = next(iter(nodes))
-    return len(reachable(node_adjacency(nodes, pairs), (first,))) \
-        == len(nodes)
-
-
-def is_connected(g):
-    """Connectivity for Graph or MultiGraph (empty graph counts as
-    connected)."""
-    return _connected(set(g.nodes), g.links.values())
 
 
 def k_vertex_connected(g, k):
@@ -40,46 +31,21 @@ def k_vertex_connected(g, k):
     whenever the graph has k or fewer nodes, where the notion
     degenerates, this raises TooSmall, whatever k is. Only a graph with
     more than k nodes gets the range check, which raises ValueError for
-    k outside {1, 2, 3}.
+    k outside {1, 2, 3}. k = 1 and k = 2 take one lowpoint pass, k = 3
+    one pass per node.
     """
     nodes = sorted(set(g.nodes))
     if len(nodes) <= k:
         raise TooSmall(f"need more than {k} nodes, have {len(nodes)}")
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    adj = node_adjacency(nodes, g.links.values())
-    for cut in combinations(nodes, k - 1):
-        gone = set(cut)
-        start = next(v for v in nodes if v not in gone)
-        if len(reachable(adj, (start,), gone)) != len(nodes) - len(gone):
-            return False
-    return True
-
-
-def k_edge_connected(g, k):
-    """No deletion of any (k-1) links disconnects g. k in {1, 2, 3}.
-
-    Parallel links count individually. A quick minimum-degree reject
-    (counting multiplicity) covers most failures before the subset
-    scan.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    nodes = set(g.nodes)
-    pairs = list(g.links.values())
-    if len(nodes) <= 1:
-        return True
-    if k > 1:
-        deg = {v: 0 for v in nodes}
-        for u, w in pairs:
-            deg[u] += 1
-            deg[w] += 1
-        if min(deg.values()) < k:
-            return False
-    for cut in combinations(range(len(pairs)), k - 1):
-        gone = set(cut)
-        kept = [p for i, p in enumerate(pairs) if i not in gone]
-        if not _connected(nodes, kept):
+    adj = link_adjacency(nodes, g.links.items())
+    if k < 3:
+        reached, cuts, _ = lowpoint(adj)
+        return len(reached) == len(nodes) and (k == 1 or not cuts)
+    for a in nodes:
+        reached, cuts, _ = lowpoint(adj, a)
+        if cuts or len(reached) != len(nodes) - 1:
             return False
     return True
 
@@ -88,45 +54,16 @@ def _bridgeless_connected(nodes, links, skip):
     """Is the multigraph connected with no bridge, ignoring link skip?
 
     links is a list of (link id, (u, v)); parallel links shield each
-    other (the DFS tracks parent link ids, not parent nodes). One
-    iterative lowpoint pass (Tarjan 1972): the tree link into w is a
-    bridge when low[w] > disc[parent of w].
+    other. One graph.lowpoint pass.
     """
-    adj = {v: [] for v in nodes}
-    for eid, (u, w) in links:
-        if eid == skip:
-            continue
-        adj[u].append((w, eid))
-        adj[w].append((u, eid))
-    first = next(iter(nodes))
-    disc = {first: 0}
-    low = {first: 0}
-    stack = [(first, None, iter(adj[first]))]
-    while stack:
-        v, via, todo = stack[-1]
-        for w, eid in todo:
-            if eid == via:
-                continue
-            if w in disc:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-                continue
-            disc[w] = low[w] = len(disc)
-            stack.append((w, eid, iter(adj[w])))
-            break
-        else:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] > disc[u]:
-                    return False
-                if low[v] < low[u]:
-                    low[u] = low[v]
-    return len(disc) == len(nodes)
+    adj = link_adjacency(nodes, ((eid, p) for eid, p in links
+                                 if eid != skip))
+    reached, _, bridge = lowpoint(adj)
+    return not bridge and len(reached) == len(nodes)
 
 
 def _three_edge_connected(g):
-    """Equivalent to k_edge_connected(g, 3), in one DFS per link.
+    """Is g 3-edge-connected, parallel links counting individually?
 
     A graph is 3-edge-connected iff removing any single link leaves it
     connected and bridgeless, which one bridge-finding pass per link
@@ -168,9 +105,9 @@ def _once_crossed_cut_hits_interior(links, interior, m1, m2, lobe):
     paths are link bitmasks. Path masks come from the oracle's path
     walk, bounded by DEFAULT_PATH_CAP, and are only produced for the
     first cut that touches an interior link; cuts entirely through
-    monitor links cannot condemn anything and are skipped. The virtual bypass link
-    would cross every enumerated cut exactly once, so leaving it out of
-    both the cuts and the paths changes no answer.
+    monitor links cannot condemn anything and are skipped. The virtual
+    bypass link would cross every enumerated cut exactly once, so
+    leaving it out of both the cuts and the paths changes no answer.
     """
     paths = None
     members = sorted(lobe)

@@ -9,7 +9,7 @@ Two classical layers:
     its separation pairs.
 
 The triconnected split repeatedly cuts a piece at its first separation
-pair, found with one articulation-point pass per node (Tarjan 1972;
+pair, found with one graph.lowpoint pass per removed node (Tarjan 1972;
 Hopcroft & Tarjan 1973), so one search costs O(n*(n+m)). Canonical
 merging follows (adjacent polygons merge, adjacent bonds merge), which
 lands on the same unique decomposition as the linear time algorithms
@@ -33,7 +33,14 @@ from .errors import (
     UnknownBlock,
     UnknownPair,
 )
-from .graph import Graph, MultiGraph, node_adjacency, reachable
+from .graph import (
+    Graph,
+    MultiGraph,
+    link_adjacency,
+    lowpoint,
+    node_adjacency,
+    reachable,
+)
 
 POLYGON = "polygon"
 BOND = "bond"
@@ -184,48 +191,6 @@ def _separation_classes(links, a, b):
     return classes + directs
 
 
-def _cut_nodes_without(adj, a):
-    """Cut nodes of the link multigraph adj once node a is removed.
-
-    One iterative lowpoint pass (Tarjan 1972) in O(n + m): a non-root
-    node v cuts when some DFS child w has low[w] >= disc[v], the root
-    when it has two or more children. The graph without a must be
-    connected, as it is for every 2-connected piece.
-    """
-    root = next(v for v in adj if v != a)
-    disc = {root: 0}
-    low = {root: 0}
-    cuts = set()
-    root_children = 0
-    stack = [(root, None, iter(adj[root]))]
-    while stack:
-        v, via, todo = stack[-1]
-        for w, eid in todo:
-            if w == a or eid == via:
-                continue
-            if w in disc:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-                continue
-            disc[w] = low[w] = len(disc)
-            stack.append((w, eid, iter(adj[w])))
-            break
-        else:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    if len(stack) > 1:
-                        cuts.add(u)
-                    else:
-                        root_children += 1
-    if root_children > 1:
-        cuts.add(root)
-    return cuts
-
-
 def _find_split_pair(links, nodes):
     """First qualifying separation pair and its classes.
 
@@ -240,19 +205,16 @@ def _find_split_pair(links, nodes):
     qualifies only if removing both leaves two or more components (so
     b cuts the piece without a) or leaves one component and a, b are
     joined by two or more parallel links. Each a therefore needs one
-    articulation pass plus its parallel links, and the first candidate
+    lowpoint pass without a plus its parallel links, and the first candidate
     that qualifies is the first qualifying pair of all. On three or
     more nodes every candidate qualifies, since only a direct link
     can form a one-link class there, so a search makes at most n
     passes and one _separation_classes call: O(n*(n+m)).
     """
-    adj = {v: [] for v in nodes}
-    for eid, (u, v) in links.items():
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
+    adj = link_adjacency(nodes, links.items())
     for a in nodes:
         direct = Counter(w for w, _ in adj[a])
-        candidates = _cut_nodes_without(adj, a)
+        candidates = lowpoint(adj, a)[1]
         candidates.update(w for w, k in direct.items() if k >= 2)
         for b in sorted(w for w in candidates if w > a):
             classes = _separation_classes(links, a, b)

@@ -42,6 +42,16 @@ def node_adjacency(nodes, pairs):
     return adj
 
 
+def link_adjacency(nodes, links):
+    """(neighbour, link id) lists of nodes for (link id, (u, v)) items;
+    parallel links each get their own entry."""
+    adj = {v: [] for v in nodes}
+    for eid, (u, v) in links:
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    return adj
+
+
 def reachable(adj, starts, blocked=()):
     """Set of nodes reached from starts without entering blocked ones.
 
@@ -57,6 +67,56 @@ def reachable(adj, starts, blocked=()):
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def lowpoint(adj, removed=None):
+    """One lowpoint pass (Tarjan 1972) over a link adjacency.
+
+    adj is as built by link_adjacency. The depth-first search starts
+    at the first node of adj other than removed and never enters
+    removed. Returns (reached, cuts, bridge): the nodes reached, in
+    discovery order, the cut nodes of what was reached, and whether
+    some link of it is a bridge. A non-root node v cuts when some DFS
+    child w has low[w] >= disc[v], the root when it has two or more
+    children; the tree link into w is a bridge when low[w] > disc[v].
+    The parent link is skipped by id, not by node, so parallel links
+    shield each other. The search keeps its own stack, in O(n + m).
+    """
+    root = next(v for v in adj if v != removed)
+    disc = {root: 0}
+    low = {root: 0}
+    cuts = set()
+    bridge = False
+    root_children = 0
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, via, todo = stack[-1]
+        for w, eid in todo:
+            if w == removed or eid == via:
+                continue
+            if w in disc:
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+                continue
+            disc[w] = low[w] = len(disc)
+            stack.append((w, eid, iter(adj[w])))
+            break
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    if len(stack) > 1:
+                        cuts.add(u)
+                    else:
+                        root_children += 1
+                    if low[v] > disc[u]:
+                        bridge = True
+    if root_children > 1:
+        cuts.add(root)
+    return disc, cuts, bridge
 
 
 class Graph:
@@ -117,10 +177,7 @@ class Graph:
         else:
             metrics = None
 
-        adj = {v: [] for v in node_list}
-        for eid, (u, v) in links.items():
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
+        adj = link_adjacency(node_list, links.items())
         for v in adj:
             adj[v].sort()
 

@@ -8,8 +8,8 @@ hold nothing per-instance in memory; summaries are deterministic
 functions of the config, so equal seeds give byte-identical output.
 
 Verdicts produced by the oracle itself (fallback blocks and deferred
-pair links) cannot disagree with the oracle and are excluded from the
-mismatch flag, as are nothing else: any other disagreement is a bug in
+pair links) cannot disagree with the oracle and are the only verdicts
+excluded from the mismatch flag: any other disagreement is a bug in
 the structural rules and makes the sweep fail loudly.
 
 The exhaustive sweep doubles as the measurement for two side

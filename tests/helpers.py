@@ -1,18 +1,24 @@
 """Shared test fixtures-as-functions: small named graphs, an
-independent max-flow implementation and a row-folding echelon.
+independent max-flow implementation, brute-force connectivity tests
+and a row-folding echelon.
 
 The connectivity cross-checks here deliberately reimplement Menger
 counting with augmenting paths instead of reusing the library code, so
 that the two sides of every comparison share nothing but the inputs.
-Likewise ReferenceEchelon keeps echelon rows, where the library's
+The brute-force k_vertex_connected and k_edge_connected delete every
+node or link subset and search what is left with graph.reachable,
+where the library's tests run lowpoint passes. Likewise
+ReferenceEchelon keeps echelon rows, where the library's
 IntegerEchelon keeps a nullspace basis.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
-from linkident import Graph, InconsistentSystem
+from linkident import Graph, InconsistentSystem, TooSmall
+from linkident.graph import node_adjacency, reachable
 
 
 # -- small named graphs --------------------------------------------------
@@ -157,6 +163,68 @@ def edge_connectivity(g):
     s = nodes[0]
     return min(edge_disjoint_paths(nodes, pairs, s, t)
                for t in nodes[1:])
+
+
+# -- brute-force connectivity ----------------------------------------------
+
+def _connected(nodes, pairs):
+    """Connectivity of an explicit node set / edge pair list."""
+    if not nodes:
+        return True
+    first = next(iter(nodes))
+    return len(reachable(node_adjacency(nodes, pairs), (first,))) \
+        == len(nodes)
+
+
+def k_vertex_connected(g, k):
+    """No deletion of any (k-1) nodes disconnects g. k in {1, 2, 3}.
+
+    Parallel links do not matter here. The size is checked first:
+    whenever the graph has k or fewer nodes, where the notion
+    degenerates, this raises TooSmall, whatever k is. Only a graph with
+    more than k nodes gets the range check, which raises ValueError for
+    k outside {1, 2, 3}.
+    """
+    nodes = sorted(set(g.nodes))
+    if len(nodes) <= k:
+        raise TooSmall(f"need more than {k} nodes, have {len(nodes)}")
+    if k not in (1, 2, 3):
+        raise ValueError(f"k must be 1, 2 or 3, got {k}")
+    adj = node_adjacency(nodes, g.links.values())
+    for cut in combinations(nodes, k - 1):
+        gone = set(cut)
+        start = next(v for v in nodes if v not in gone)
+        if len(reachable(adj, (start,), gone)) != len(nodes) - len(gone):
+            return False
+    return True
+
+
+def k_edge_connected(g, k):
+    """No deletion of any (k-1) links disconnects g. k in {1, 2, 3}.
+
+    Parallel links count individually. A quick minimum-degree reject
+    (counting multiplicity) covers most failures before the subset
+    scan.
+    """
+    if k not in (1, 2, 3):
+        raise ValueError(f"k must be 1, 2 or 3, got {k}")
+    nodes = set(g.nodes)
+    pairs = list(g.links.values())
+    if len(nodes) <= 1:
+        return True
+    if k > 1:
+        deg = {v: 0 for v in nodes}
+        for u, w in pairs:
+            deg[u] += 1
+            deg[w] += 1
+        if min(deg.values()) < k:
+            return False
+    for cut in combinations(range(len(pairs)), k - 1):
+        gone = set(cut)
+        kept = [p for i, p in enumerate(pairs) if i not in gone]
+        if not _connected(nodes, kept):
+            return False
+    return True
 
 
 # -- measurement arithmetic ------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import record_acceptance
-from helpers import path_sum
+from helpers import k_vertex_connected, path_sum
 
 from linkident import (
     Graph,
@@ -28,7 +28,6 @@ from linkident import (
     exhaustive_sweep,
     gnp_connected,
     identifiable_links_bruteforce,
-    k_vertex_connected,
     random_biconnected,
     reassemble,
     triconnected_components,

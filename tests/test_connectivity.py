@@ -17,8 +17,6 @@ from linkident import (
     has_disjoint_fan,
     identifiable_links_bruteforce,
     interior_identifiability_predicate,
-    is_connected,
-    k_edge_connected,
     k_vertex_connected,
 )
 from linkident import connectivity
@@ -28,22 +26,20 @@ from linkident.connectivity import (
 )
 from linkident.decomposition import _separation_classes
 
+import helpers
 from helpers import (
+    _connected,
     c5,
     edge_connectivity,
     k4,
     k23,
+    k_edge_connected,
     path_graph,
     prism,
     triangle,
     vertex_connectivity,
     vertex_disjoint_paths,
 )
-
-
-def test_is_connected():
-    assert is_connected(triangle())
-    assert not is_connected(Graph(range(4), [(0, 1), (2, 3)]))
 
 
 def test_vertex_connectivity_pinned_cases():
@@ -68,6 +64,71 @@ def test_vertex_connectivity_rejects_k_outside_range_on_large_graphs():
         k_vertex_connected(c5(), 4)
     with pytest.raises(ValueError):
         k_vertex_connected(triangle(), 0)
+
+
+def predicate_multigraphs(max_nodes, monkeypatch):
+    """Every lobe-plus-bypass MultiGraph the interior predicate builds
+    on connected graphs of 2..max_nodes nodes, all monitor pairs."""
+    built = []
+    original = connectivity._three_edge_connected
+
+    def record(aug):
+        built.append(aug)
+        return original(aug)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(connectivity, "_three_edge_connected", record)
+        for n in range(2, max_nodes + 1):
+            for g in enumerate_all_connected_graphs(n):
+                for m1, m2 in combinations(g.nodes, 2):
+                    interior_identifiability_predicate(
+                        g.with_monitors(m1, m2))
+    return built
+
+
+def test_vertex_connectivity_matches_brute_force_reference(monkeypatch):
+    """The lowpoint passes against deleting every node set, on every
+    connected graph of 4..6 nodes and on the predicate's multigraphs."""
+    graphs = [g for n in range(4, 7)
+              for g in enumerate_all_connected_graphs(n)]
+    multigraphs = predicate_multigraphs(5, monkeypatch)
+    assert len(graphs) == 38 + 728 + 26704
+    assert len(multigraphs) == 6964
+    for g in graphs + multigraphs:
+        for k in (2, 3):
+            assert k_vertex_connected(g, k) == \
+                helpers.k_vertex_connected(g, k)
+
+
+def circular_ladder(k):
+    """C_k x K2: rails 0..k-1 and k..2k-1, rung i joins i and k+i."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    return Graph(range(2 * k), edges)
+
+
+def test_three_vertex_test_makes_one_pass_per_node(monkeypatch):
+    """On a 400-node circular ladder, 3-vertex-connectivity takes at
+    most one lowpoint pass per node and no plain search; deleting
+    every node pair would take 79,800 searches."""
+    g = circular_ladder(200)
+    passes = []
+    searches = []
+
+    def counted(calls, f):
+        def wrapper(*args):
+            calls.append(args)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(connectivity, "lowpoint",
+                        counted(passes, connectivity.lowpoint))
+    monkeypatch.setattr(connectivity, "reachable",
+                        counted(searches, connectivity.reachable))
+    assert k_vertex_connected(g, 3)
+    assert 0 < len(passes) <= g.n
+    assert not searches
 
 
 def test_edge_connectivity_pinned_cases():
@@ -102,6 +163,7 @@ def test_connectivity_matches_max_flow_on_200_random_graphs():
             assert k_vertex_connected(g, k) == (kappa >= k)
         for k in range(1, 4):
             assert k_edge_connected(g, k) == (lam >= k)
+        assert _three_edge_connected(g) == (lam >= 3)
         # k-vertex-connected implies k-edge-connected
         for k in range(1, min(4, n)):
             if k_vertex_connected(g, k):
@@ -206,7 +268,8 @@ def test_has_disjoint_fan_matches_max_flow_on_random_graphs():
 def test_searches_run_on_a_path_of_5000_nodes():
     g = path_graph(4999)
     assert g.is_connected()
-    assert is_connected(g)
+    assert k_vertex_connected(g, 1)
+    assert not k_vertex_connected(g, 2)
     assert MultiGraph(g.nodes, g.links).is_connected()
     classes = _separation_classes(g.links, 1, 4998)
     assert [len(c) for c in classes] == [1, 4997, 1]
@@ -229,8 +292,8 @@ def bridgeless_by_deletion(nodes, links, skip):
     """Connected, and still connected after deleting any one link."""
     kept = [(eid, pair) for eid, pair in links if eid != skip]
     pairs = [pair for _, pair in kept]
-    return connectivity._connected(nodes, pairs) and all(
-        connectivity._connected(nodes, pairs[:i] + pairs[i + 1:])
+    return _connected(nodes, pairs) and all(
+        _connected(nodes, pairs[:i] + pairs[i + 1:])
         for i in range(len(pairs)))
 
 

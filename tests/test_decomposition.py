@@ -19,15 +19,15 @@ from linkident import (
     decompose_links,
     enumerate_all_connected_graphs,
     grid,
-    k_vertex_connected,
     random_biconnected,
     reassemble,
     triconnected_components,
 )
 from linkident import decomposition
+from linkident.graph import lowpoint
 
-from helpers import bowtie_on_edge, c5, k4, path_graph, prism, triangle, \
-    two_triangles
+from helpers import bowtie_on_edge, c5, k4, k_vertex_connected, path_graph, \
+    prism, triangle, two_triangles
 
 
 def rebuilt(g):
@@ -330,7 +330,7 @@ def test_split_search_finds_a_pair_through_parallel_links(monkeypatch):
     piece = {0: (0, 1), 3: (0, 3), 4: (1, 3), 5: (0, 1)}
     adj = {0: [(1, 0), (3, 3), (1, 5)], 1: [(0, 0), (3, 4), (0, 5)],
            3: [(0, 3), (1, 4)]}
-    assert decomposition._cut_nodes_without(adj, 0) == set()
+    assert lowpoint(adj, 0)[1] == set()
     pair, classes = decomposition._find_split_pair(piece, [0, 1, 3])
     assert pair == (0, 1)
     assert (pair, classes) == scan_all_pairs(piece, [0, 1, 3])

@@ -1,5 +1,6 @@
 """Graph construction, validation, derivation, and JSON round trips."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from linkident import (
     SelfLoop,
     UnknownNode,
 )
+from linkident.graph import link_adjacency, lowpoint, node_adjacency, \
+    reachable
 
 from helpers import k23, triangle
 
@@ -169,3 +172,57 @@ def test_multigraph_parallel_links_and_virtual_bookkeeping():
     assert mg.real_links() == {0: (0, 1), 2: (1, 2)}
     assert mg.is_connected()
     assert not MultiGraph([0, 1, 2], {0: (0, 1)}).is_connected()
+
+
+def lowpoint_by_deletion(nodes, links, removed):
+    """Reference for lowpoint: delete each node and each link in turn
+    and search what is left of the part the pass reaches."""
+    root = next(v for v in nodes if v != removed)
+    adj = node_adjacency(nodes, (p for _, p in links))
+    reached = reachable(adj, (root,), {removed})
+    cuts = set()
+    for v in reached:
+        rest = reached - {v}
+        if rest and len(reachable(adj, (min(rest),), {removed, v})) \
+                < len(rest):
+            cuts.add(v)
+    bridge = False
+    for eid, (u, w) in links:
+        if u in reached and w in reached:
+            kept = node_adjacency(nodes, (p for i, p in links if i != eid))
+            if len(reachable(kept, (root,), {removed})) < len(reached):
+                bridge = True
+    return reached, cuts, bridge
+
+
+def test_lowpoint_matches_deletion_on_random_multigraphs():
+    """Parallel links, several parts and a removed node, against
+    deleting each node and each link in turn."""
+    for case in range(300):
+        rng = random.Random(7100 + case)
+        n = rng.randint(2, 8)
+        links = [(eid, (rng.randrange(n), rng.randrange(n)))
+                 for eid in range(rng.randint(0, 14))]
+        links = [(eid, (u, w)) for eid, (u, w) in links if u != w]
+        removed = rng.choice([None, rng.randrange(n)])
+        nodes = range(n)
+        reached, cuts, bridge = lowpoint(link_adjacency(nodes, links),
+                                         removed)
+        assert (set(reached), cuts, bridge) \
+            == lowpoint_by_deletion(nodes, links, removed)
+
+
+def test_parallel_links_shield_each_other_in_lowpoint():
+    single = link_adjacency(range(3), [(0, (0, 1)), (1, (1, 2))])
+    double = link_adjacency(range(3), [(0, (0, 1)), (1, (1, 2)),
+                                       (2, (1, 2))])
+    assert lowpoint(single, 0)[1:] == (set(), True)
+    assert lowpoint(double, 0)[1:] == (set(), False)
+
+
+def test_lowpoint_runs_on_a_path_of_5000_nodes():
+    nodes = range(5000)
+    adj = link_adjacency(nodes, [(i, (i, i + 1)) for i in range(4999)])
+    reached, cuts, bridge = lowpoint(adj)
+    assert list(reached) == list(nodes)
+    assert cuts == set(range(1, 4999)) and bridge
