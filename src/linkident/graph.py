@@ -381,12 +381,6 @@ class MultiGraph:
         return {eid: pair for eid, pair in self.links.items()
                 if eid not in self.virtual}
 
-    def is_connected(self):
-        if not self.nodes:
-            return True
-        adj = node_adjacency(self.nodes, self.links.values())
-        return len(reachable(adj, self.nodes[:1])) == self.n
-
     def __repr__(self):
         return (f"MultiGraph(n={self.n}, m={self.m}, "
                 f"virtual={sorted(self.virtual)})")

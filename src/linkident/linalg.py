@@ -112,7 +112,8 @@ class IntegerEchelon:
 
         Returns True when the row increased the rank. A row in the span
         whose right-hand side disagrees with the rows before it marks
-        the system inconsistent.
+        the system inconsistent. The row is only read, never kept, so a
+        caller may change the same list in place and add it again.
         """
         null = self.null
         dots = _dots(row, null)

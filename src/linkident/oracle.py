@@ -12,6 +12,10 @@ M over the rationals. This module enumerates the full path universe
   * for each unidentifiable link, two positive metric assignments that
     agree on every path sum but differ on that link.
 
+The walk feeds the echelon one live 0/1 row, updated in place on the
+links where each path differs from the one before it. Path sums are
+plain integers: the metrics are scaled once to integers over their
+common denominator, and recovered values are divided by it at the end.
 No floating point is used anywhere.
 """
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import GraphError, NoPath, PathExplosion
 from .linalg import IntegerEchelon
@@ -139,36 +144,50 @@ def build_measurement_matrix(paths, g):
                              ncols=m)
 
 
-def _mask_rhs(mask, metric_list):
-    total = Fraction(0)
-    while mask:
-        low = mask & -mask
-        total += metric_list[low.bit_length() - 1]
-        mask ^= low
-    return total
-
-
 def _feed_echelon(g, m1, m2, cap, carry_rhs=False, early_exit=True):
     """Stream path rows into an echelon; optionally stop at full rank.
 
-    Returns (echelon, paths seen). With early_exit the path count is a
-    lower bound, good enough for verdicts but not for reporting.
+    Returns (echelon, paths seen, denominator). With early_exit the
+    path count is a lower bound, good enough for verdicts but not for
+    reporting. Every path is fed as the same live 0/1 list, which add
+    does not keep, with only the links where the path differs from the
+    one before flipped. With carry_rhs each right-hand side is the
+    path's integer sum of the metrics times their common denominator,
+    so the echelon's values are the true ones times that denominator.
     """
     m = g.m
     ech = IntegerEchelon(m, carry_rhs=carry_rhs)
-    metric_list = None
+    add = ech.add
+    row = [0] * m
+    den = 1
+    weight = [0] * m
     if carry_rhs:
-        metric_list = [g.metrics[i] for i in range(m)]
+        metrics = [g.metrics[j] for j in range(m)]
+        den = lcm(*(x.denominator for x in metrics))
+        weight = [x.numerator * (den // x.denominator) for x in metrics]
+    last = 0
+    total = 0
 
     def visit(mask, seq):
-        row = [(mask >> j) & 1 for j in range(m)]
-        rhs = _mask_rhs(mask, metric_list) if carry_rhs else None
-        ech.add(row, rhs)
+        nonlocal last, total
+        flips = mask ^ last
+        last = mask
+        while flips:
+            low = flips & -flips
+            j = low.bit_length() - 1
+            if mask & low:
+                row[j] = 1
+                total += weight[j]
+            else:
+                row[j] = 0
+                total -= weight[j]
+            flips ^= low
+        add(row, total)
         if early_exit and ech.full_column_rank:
             return False
 
     count = _walk_paths(g, m1, m2, cap, visit)
-    return ech, count
+    return ech, count, den
 
 
 def identifiable_links_bruteforce(g, monitors=None,
@@ -182,7 +201,7 @@ def identifiable_links_bruteforce(g, monitors=None,
     if monitors is None:
         monitors = g.require_monitors()
     m1, m2 = monitors
-    ech, count = _feed_echelon(g, m1, m2, path_cap)
+    ech, count, _ = _feed_echelon(g, m1, m2, path_cap)
     if count == 0:
         raise NoPath(f"no simple path joins {m1} and {m2}")
     if ech.full_column_rank:
@@ -213,14 +232,14 @@ def oracle_analysis(g, monitors=None, path_cap=DEFAULT_PATH_CAP):
         monitors = g.require_monitors()
     m1, m2 = monitors
     carry = g.metrics is not None
-    ech, count = _feed_echelon(g, m1, m2, path_cap, carry_rhs=carry,
-                               early_exit=False)
+    ech, count, den = _feed_echelon(g, m1, m2, path_cap,
+                                    carry_rhs=carry, early_exit=False)
     if count == 0:
         raise NoPath(f"no simple path joins {m1} and {m2}")
     ident = {j for j in range(g.m) if ech.unit_in_span(j)}
     values = None
     if carry:
-        values = {j: ech.unit_value(j) for j in sorted(ident)}
+        values = {j: ech.unit_value(j) / den for j in sorted(ident)}
     return OracleResult(identifiable=ident, path_count=count,
                         rank=ech.rank, values=values)
 
@@ -239,16 +258,24 @@ class MetricRecovery:
 
 
 def _positive_alternative(base, delta):
-    """base + eps*delta with eps > 0 small enough to stay positive."""
+    """base + eps*delta with eps > 0 small enough to stay positive.
+
+    Only the nonzero entries of delta are computed; the others are the
+    base entries themselves.
+    """
+    moved = [(j, d) for j, d in enumerate(delta) if d]
     eps = None
-    for b, d in zip(base, delta):
+    for j, d in moved:
         if d < 0:
-            cand = Fraction(b, -2 * d)
+            cand = Fraction(base[j], -2 * d)
             if eps is None or cand < eps:
                 eps = cand
     if eps is None:
         eps = Fraction(1)
-    return tuple(b + eps * d for b, d in zip(base, delta))
+    alt = list(base)
+    for j, d in moved:
+        alt[j] += eps * d
+    return tuple(alt)
 
 
 def verify_metric_recovery(g, path_cap=DEFAULT_PATH_CAP):
@@ -262,8 +289,8 @@ def verify_metric_recovery(g, path_cap=DEFAULT_PATH_CAP):
     if g.metrics is None:
         raise GraphError("metric recovery needs metrics on the graph")
     m1, m2 = g.require_monitors()
-    ech, count = _feed_echelon(g, m1, m2, path_cap, carry_rhs=True,
-                               early_exit=False)
+    ech, count, den = _feed_echelon(g, m1, m2, path_cap, carry_rhs=True,
+                                    early_exit=False)
     if count == 0:
         raise NoPath(f"no simple path joins {m1} and {m2}")
     m = g.m
@@ -272,7 +299,7 @@ def verify_metric_recovery(g, path_cap=DEFAULT_PATH_CAP):
     exact = True
     for j in range(m):
         if ech.unit_in_span(j):
-            recovered[j] = ech.unit_value(j)
+            recovered[j] = ech.unit_value(j) / den
             if recovered[j] != truth[j]:
                 exact = False
     witnesses = {}

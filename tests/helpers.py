@@ -9,7 +9,9 @@ The brute-force k_vertex_connected and k_edge_connected delete every
 node or link subset and search what is left with graph.reachable,
 where the library's tests run lowpoint passes. Likewise
 ReferenceEchelon keeps echelon rows, where the library's
-IntegerEchelon keeps a nullspace basis.
+IntegerEchelon keeps a nullspace basis, and reference_recovery sums
+Fraction metrics per path and builds dense witnesses, where the oracle
+feeds integer sums through one live row and builds sparse ones.
 """
 
 from bisect import bisect_left
@@ -17,8 +19,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from linkident import Graph, InconsistentSystem, TooSmall
+from linkident import (
+    Graph,
+    InconsistentSystem,
+    TooSmall,
+    enumerate_simple_paths,
+)
 from linkident.graph import node_adjacency, reachable
+from linkident.oracle import build_measurement_matrix
 
 
 # -- small named graphs --------------------------------------------------
@@ -388,3 +396,40 @@ class ReferenceEchelon:
                     x[c] = Fraction(-a, self.rows[i][c])
             basis.append(x)
         return basis
+
+
+# -- reference values and witnesses ----------------------------------------
+
+def dense_positive_alternative(base, delta):
+    """base + eps*delta with eps > 0 small enough to stay positive."""
+    eps = None
+    for b, d in zip(base, delta):
+        if d < 0:
+            cand = Fraction(b, -2 * d)
+            if eps is None or cand < eps:
+                eps = cand
+    if eps is None:
+        eps = Fraction(1)
+    return tuple(b + eps * d for b, d in zip(base, delta))
+
+
+def reference_recovery(g):
+    """(recovered, witnesses, exact) as verify_metric_recovery defines
+    them, from the Fraction path sums of build_measurement_matrix fed
+    into ReferenceEchelon, with every witness built densely."""
+    m1, m2 = g.require_monitors()
+    system = build_measurement_matrix(enumerate_simple_paths(g, m1, m2), g)
+    ref = ReferenceEchelon(g.m, carry_rhs=True)
+    for row, rhs in zip(system.matrix, system.rhs):
+        ref.add(row, rhs)
+    truth = tuple(g.metrics[j] for j in range(g.m))
+    recovered = {j: ref.unit_value(j) for j in range(g.m)
+                 if ref.unit_in_span(j)}
+    exact = all(value == truth[j] for j, value in recovered.items())
+    basis = ref.nullspace_basis()
+    witnesses = {}
+    for j in range(g.m):
+        if j not in recovered:
+            delta = next(d for d in basis if d[j] != 0)
+            witnesses[j] = (truth, dense_positive_alternative(truth, delta))
+    return recovered, witnesses, exact

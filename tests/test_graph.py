@@ -170,8 +170,6 @@ def test_multigraph_parallel_links_and_virtual_bookkeeping():
     assert mg.m == 3 and mg.n == 3
     assert mg.links[1] == (0, 1)
     assert mg.real_links() == {0: (0, 1), 2: (1, 2)}
-    assert mg.is_connected()
-    assert not MultiGraph([0, 1, 2], {0: (0, 1)}).is_connected()
 
 
 def lowpoint_by_deletion(nodes, links, removed):

@@ -115,16 +115,21 @@ def test_membership_via_in_span_matches_unit_query():
 
 
 def assert_same_as_reference(ncols, rows, rhss=None, probes=(),
-                             each_step=False):
+                             each_step=False, live=False):
     """Feed rows (and right-hand sides, when given) to IntegerEchelon and
     to ReferenceEchelon, and compare every answer the two give: after
-    the last row, and with each_step also the span after each."""
+    the last row, and with each_step also the span after each. With
+    live, IntegerEchelon gets every row as one list overwritten in
+    place, which is scrambled once the last row is in."""
     carry = rhss is not None
     ech = IntegerEchelon(ncols, carry_rhs=carry)
     ref = ReferenceEchelon(ncols, carry_rhs=carry)
+    feed = [0] * ncols
     for k, row in enumerate(rows):
         rhs = rhss[k] if carry else None
-        assert ech.add(row, rhs) == ref.add(row, rhs)
+        if live:
+            feed[:] = row
+        assert ech.add(feed if live else row, rhs) == ref.add(row, rhs)
         assert ech.rank == ref.rank
         assert ech.full_column_rank == ref.full_column_rank
         assert ech.inconsistent == ref.inconsistent
@@ -132,6 +137,7 @@ def assert_same_as_reference(ncols, rows, rhss=None, probes=(),
             assert ech.nullspace_basis() == ref.nullspace_basis()
             assert [ech.unit_in_span(j) for j in range(ncols)] \
                 == [ref.unit_in_span(j) for j in range(ncols)]
+    feed[:] = [7] * ncols
     units = [ech.unit_in_span(j) for j in range(ncols)]
     assert units == [ref.unit_in_span(j) for j in range(ncols)]
     for vec in list(rows) + list(probes):
@@ -190,9 +196,10 @@ def test_against_fraction_gauss_on_random_matrices():
         assert_same_as_reference(ncols, rows, noisy, probes)
 
 
-def test_matches_reference_on_wider_and_repeating_systems():
-    """Wider rows, larger entries and rows repeated with a wrong
-    right-hand side, so inconsistency strikes in mid-stream."""
+def wider_and_repeating_systems():
+    """(ncols, rows, rhss) with wider rows, larger entries and rows
+    repeated with a wrong right-hand side, so inconsistency strikes in
+    mid-stream."""
     for case in range(200):
         rng = random.Random(4400 + case)
         ncols = rng.randint(1, 10)
@@ -210,7 +217,22 @@ def test_matches_reference_on_wider_and_repeating_systems():
         if case % 3 == 0:
             at = rng.randrange(len(rhss))
             rhss[at] += Fraction(1, 7)
+        yield ncols, rows, rhss
+
+
+def test_matches_reference_on_wider_and_repeating_systems():
+    for ncols, rows, rhss in wider_and_repeating_systems():
         assert_same_as_reference(ncols, rows, rhss)
+
+
+def test_add_keeps_no_reference_to_the_row():
+    """One list overwritten in place before every add, as the oracle
+    feeds its live row, gives the answers of fresh rows at every step
+    and after the list is scrambled."""
+    for ncols, rows, rhss in wider_and_repeating_systems():
+        assert_same_as_reference(ncols, rows, each_step=True, live=True)
+        assert_same_as_reference(ncols, rows, rhss, each_step=True,
+                                 live=True)
 
 
 def test_matches_reference_on_every_small_path_matrix():

@@ -3,6 +3,7 @@ identifiability and value recovery."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -12,15 +13,24 @@ from linkident import (
     MonitorsUnset,
     NoPath,
     PathExplosion,
+    enumerate_all_connected_graphs,
     enumerate_simple_paths,
     gnp_connected,
+    grid,
     identifiable_links_bruteforce,
     oracle_analysis,
     verify_metric_recovery,
 )
 from linkident.oracle import build_measurement_matrix
 
-from helpers import k4, path_graph, path_sum, prism, triangle
+from helpers import (
+    k4,
+    path_graph,
+    path_sum,
+    prism,
+    reference_recovery,
+    triangle,
+)
 
 
 def test_paths_triangle_adjacent_monitors():
@@ -198,3 +208,56 @@ def test_prism_interior_rungs_are_invisible():
                                 g.link_between(1, 2),
                                 g.link_between(3, 4)}
     assert not rungs & res.identifiable
+
+
+def test_values_and_witnesses_match_the_reference_on_small_graphs():
+    """Every connected graph on 2..5 nodes, every ordered monitor pair,
+    seeded metrics mixing ints and Fractions: the oracle's values, and
+    verify_metric_recovery's values, witnesses and exactness, equal the
+    Fraction-summing dense reference, down to the repr of each entry."""
+    systems = 0
+    for n in range(2, 6):
+        for index, g in enumerate(enumerate_all_connected_graphs(n)):
+            rng = random.Random(n * 10_000 + index)
+            g = g.with_metrics({
+                eid: rng.choice((rng.randint(1, 9),
+                                 Fraction(rng.randint(1, 9),
+                                          rng.randint(1, 12))))
+                for eid in g.links})
+            for m1, m2 in permutations(g.nodes, 2):
+                inst = g.with_monitors(m1, m2)
+                recovered, witnesses, exact = reference_recovery(inst)
+                values = oracle_analysis(inst).values
+                rec = verify_metric_recovery(inst)
+                assert values == rec.recovered == recovered
+                assert rec.witnesses == witnesses
+                assert rec.exact == exact
+                assert repr(values) == repr(rec.recovered) \
+                    == repr(recovered)
+                assert repr(rec.witnesses) == repr(witnesses)
+                systems += 1
+    assert systems == 2 + 6 * 4 + 12 * 38 + 20 * 728
+
+
+def test_oracle_sums_paths_without_fraction_additions(monkeypatch):
+    """grid(4, 4) between opposite corners has 184 paths over 24 links.
+    Path sums are integers over one common denominator, so the oracle
+    makes at most one Fraction addition per link, where summing the
+    Fraction metrics along every path would make 1,912."""
+    g = grid(4, 4).with_monitors(0, 15)
+    g = g.with_metrics({eid: Fraction(eid + 1, eid % 5 + 2)
+                        for eid in g.links})
+    calls = 0
+    add = Fraction.__add__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return add(a, b)
+
+    monkeypatch.setattr(Fraction, "__add__", counted)
+    res = oracle_analysis(g)
+    monkeypatch.undo()
+    assert calls <= g.m
+    assert (res.path_count, g.m) == (184, 24)
+    assert res.values == {j: g.metrics[j] for j in res.identifiable}
