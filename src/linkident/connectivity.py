@@ -5,7 +5,7 @@ depth-first pass. A graph is 2-vertex-connected when one pass reaches
 every node and finds no cut node, and 3-vertex-connected when, for
 every node a, the pass without a reaches the rest and finds no cut
 node: n passes, O(n*(n+m)). The 3-edge test runs one bridge-finding
-pass per deleted link, and the fan test one search per deleted node.
+pass per deleted link, and the fan test one pass plus one per cut node.
 Plain reachability goes through graph.reachable.
 """
 
@@ -186,19 +186,19 @@ def has_disjoint_fan(nodes, pairs, sources, targets):
     """Two fully vertex-disjoint paths from {s1, s2} to {t1, t2}?
 
     nodes/pairs describe the graph; sources and targets are disjoint
-    2-sets of its nodes. By Menger's theorem two such paths exist iff
-    no single vertex deletion separates the remaining sources from the
-    remaining targets, which is what gets brute-forced here, one search
-    per deleted node over an adjacency built once.
+    2-sets of its nodes. Join a new node S to both sources and a new
+    node T to both targets: the two paths are two S-T paths disjoint
+    but for S and T, so by Menger's theorem they exist iff T is
+    reached from S and no single node separates them. Such a node is
+    a cut node of the joined graph, so one lowpoint pass finds the
+    candidates, and one more pass without each (usually none) decides.
     """
-    src = set(sources)
-    tgt = set(targets)
-    adj = node_adjacency(nodes, pairs)
-    for x in nodes:
-        starts = src - {x}
-        goals = tgt - {x}
-        if not starts or not goals:
-            return False
-        if not reachable(adj, starts, {x}) & goals:
-            return False
-    return True
+    S, T = object(), object()
+    links = list(enumerate(pairs))
+    links += [(len(links) + i, (S, x)) for i, x in enumerate(sources)]
+    links += [(len(links) + i, (x, T)) for i, x in enumerate(targets)]
+    adj = link_adjacency([S, *nodes, T], links)
+    reached, cuts, _ = lowpoint(adj)
+    if T not in reached:
+        return False
+    return all(T in lowpoint(adj, x)[0] for x in cuts - {S, T})

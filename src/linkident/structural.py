@@ -26,6 +26,10 @@ such components only keep their category after an exact check of their
 own links, and fall back otherwise. The oracle verdict is never used
 for a direct agent-to-agent link, whose status depends on the monitors
 being real rather than effective.
+
+Both exact questions, the rigid check and the block oracle, are first
+put to certify.certified_identifiable; the oracle enumerates paths only
+where those certificates do not settle the answer.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .agents import locate_agents
+from .certify import certified_identifiable
 from .connectivity import has_disjoint_fan
 from .decomposition import (
     BOND,
@@ -154,7 +159,7 @@ class Structure:
             sub = Graph(sorted(block.nodes),
                         [self.g.links[eid] for eid in ids],
                         monitors=tuple(sorted(agents)))
-            pos = identifiable_links_bruteforce(sub, path_cap=path_cap)
+            pos = _identifiable(sub, path_cap)
             self._block_oracle[key] = frozenset(ids[i] for i in pos)
         return self._block_oracle[key]
 
@@ -178,12 +183,21 @@ class Structure:
             sub = Graph(sorted(comp.nodes),
                         [comp.links[eid] for eid in ids],
                         monitors=key[2])
-            ident = identifiable_links_bruteforce(sub, path_cap=path_cap)
+            ident = _identifiable(sub, path_cap)
             eff = set(pair)
             self._pair_ok[key] = all(
                 pos in ident for pos, eid in enumerate(ids)
                 if not eff & set(comp.links[eid]))
         return self._pair_ok[key]
+
+
+def _identifiable(sub, path_cap):
+    """Exact identifiable set of sub: certified when the certificates
+    settle it, enumerated by the oracle otherwise."""
+    ident = certified_identifiable(sub)
+    if ident is None:
+        ident = identifiable_links_bruteforce(sub, path_cap=path_cap)
+    return ident
 
 
 def _require_two_agents(agents):

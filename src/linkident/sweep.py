@@ -25,8 +25,8 @@ properties checked instance by instance along the way:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .connectivity import interior_identifiability_predicate
 from .generators import enumerate_all_connected_graphs, generate_graph
@@ -34,6 +34,7 @@ from .oracle import DEFAULT_PATH_CAP, identifiable_links_bruteforce
 from .structural import RULE_DEFERRED, RULE_FALLBACK, Structure, analyze
 
 ORACLE_BACKED_RULES = frozenset({RULE_FALLBACK, RULE_DEFERRED})
+_BOOL = {True: "true", False: "false"}
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,20 @@ class DiffRecord:
             ],
             "mismatch": self.mismatch,
         }
+
+    def to_line(self):
+        """to_json() as one line of JSON with sorted keys and no spaces,
+        written straight from the tuples: the bytes of json.dumps(
+        self.to_json(), sort_keys=True, separators=(",", ":"))."""
+        graph = ",".join(f"[{u},{v}]" for u, v in self.fingerprint)
+        links = ",".join(
+            f'{{"link":{eid},"oracle":{_BOOL[o]},'
+            f'"rule":{encode_basestring_ascii(rule)},'
+            f'"structural":{_BOOL[s]}}}'
+            for eid, s, o, rule in self.links)
+        m1, m2 = self.monitors
+        return (f'{{"graph":[{graph}],"links":[{links}],'
+                f'"mismatch":{_BOOL[self.mismatch]},"monitors":[{m1},{m2}]}}')
 
 
 def fingerprint(g):
@@ -108,8 +123,7 @@ class _Tally:
 
     def add(self, record, report):
         self.instances += 1
-        line = json.dumps(record.to_json(), sort_keys=True,
-                          separators=(",", ":"))
+        line = record.to_line()
         self._hash.update(line.encode())
         self._hash.update(b"\n")
         if self._out:

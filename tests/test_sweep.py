@@ -78,6 +78,8 @@ def test_run_sweep_is_deterministic_and_streams_jsonl(tmp_path):
     assert len(lines) == 20
     for line in lines:
         row = json.loads(line)
+        assert line.decode() == json.dumps(row, sort_keys=True,
+                                           separators=(",", ":"))
         assert set(row) == {"graph", "monitors", "links", "mismatch"}
         assert not row["mismatch"]
 
