@@ -27,7 +27,6 @@ from .decomposition import (
     TriComponent,
     TriconnectedDecomposition,
     biconnected_components,
-    cut_vertices,
     decompose_links,
     reassemble,
     triconnected_components,
@@ -150,7 +149,6 @@ __all__ = [
     "biconnected_components",
     "block_cut_tree_dot",
     "classify_component",
-    "cut_vertices",
     "decompose_links",
     "decomposition_dot",
     "diff_instance",

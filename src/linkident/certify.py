@@ -54,14 +54,20 @@ def _tree_seeds(adj, s, t):
     """Link masks of simple s-t paths, one per link uv: the path to u
     in a tree from s that avoids t, then uv, then the path from v in a
     tree from t that avoids s, kept when the two halves share no node.
+    A path through node w comes out twice, across w's link in each
+    tree, so each mask is yielded only the first time.
     """
     near = _bfs(adj, s, 1 << t)
     far = _bfs(adj, t, 1 << s)
+    seen = set()
     for u, (nu, lu) in near.items():
         for v, eid in adj[u]:
             half = far.get(v)
             if half is not None and not nu & half[0]:
-                yield lu | 1 << eid | half[1]
+                mask = lu | 1 << eid | half[1]
+                if mask not in seen:
+                    seen.add(mask)
+                    yield mask
 
 
 def _switch_seeds(adj, s, t, eid, a, b):

@@ -140,11 +140,7 @@ def _cmd_gen(args):
     for index in range(config.instances):
         g = generate_graph(config, index)
         lines.append(json.dumps(g.to_json(), separators=(",", ":")))
-    text = "\n".join(lines) + "\n"
-    if args.jsonl is not None:
-        _write(args.jsonl, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.jsonl, "\n".join(lines) + "\n")
     return 0
 
 

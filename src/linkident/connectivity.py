@@ -4,9 +4,8 @@ Cut nodes and bridges come from graph.lowpoint, one iterative
 depth-first pass. A graph is 2-vertex-connected when one pass reaches
 every node and finds no cut node, and 3-vertex-connected when, for
 every node a, the pass without a reaches the rest and finds no cut
-node: n passes, O(n*(n+m)). The 3-edge test runs one bridge-finding
-pass per deleted link, and the fan test one pass plus one per cut node.
-Plain reachability goes through graph.reachable.
+node: n passes, O(n*(n+m)). The fan test takes one pass plus one per
+cut node. Plain reachability goes through graph.reachable.
 """
 
 from __future__ import annotations
@@ -48,39 +47,6 @@ def k_vertex_connected(g, k):
         if cuts or len(reached) != len(nodes) - 1:
             return False
     return True
-
-
-def _bridgeless_connected(nodes, links, skip):
-    """Is the multigraph connected with no bridge, ignoring link skip?
-
-    links is a list of (link id, (u, v)); parallel links shield each
-    other. One graph.lowpoint pass.
-    """
-    adj = link_adjacency(nodes, ((eid, p) for eid, p in links
-                                 if eid != skip))
-    reached, _, bridge = lowpoint(adj)
-    return not bridge and len(reached) == len(nodes)
-
-
-def _three_edge_connected(g):
-    """Is g 3-edge-connected, parallel links counting individually?
-
-    A graph is 3-edge-connected iff removing any single link leaves it
-    connected and bridgeless, which one bridge-finding pass per link
-    settles without enumerating link pairs.
-    """
-    nodes = set(g.nodes)
-    if len(nodes) <= 1:
-        return True
-    links = list(g.links.items())
-    deg = {v: 0 for v in nodes}
-    for _, (u, w) in links:
-        deg[u] += 1
-        deg[w] += 1
-    if min(deg.values()) < 3:
-        return False
-    return all(_bridgeless_connected(nodes, links, eid)
-               for eid, _ in links)
 
 
 def _monitor_lobes(g, m1, m2):
@@ -140,7 +106,10 @@ def interior_identifiability_predicate(g):
     (standing in for the direct link and for every other lobe):
 
       * 3-edge-connected;
-      * 3-vertex-connected;
+      * 3-vertex-connected, which implies the first, since the lobe
+        plus its bypass has at least four nodes and vertex connectivity
+        never exceeds edge connectivity (Whitney 1932); only this one
+        is tested;
       * no interior link lies in a once-crossed cut: a link set that
         every simple monitor path crosses exactly once. Raising all
         links of such a cut by t while lowering all links of another
@@ -173,8 +142,6 @@ def interior_identifiability_predicate(g):
                        if u in lobe and v in lobe)
         aug = MultiGraph(lobe | {m1, m2}, {**links, vid: (m1, m2)},
                          virtual=(vid,))
-        if not _three_edge_connected(aug):
-            return False
         if not k_vertex_connected(aug, 3):
             return False
         if _once_crossed_cut_hits_interior(links, interior, m1, m2, lobe):

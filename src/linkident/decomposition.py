@@ -136,11 +136,6 @@ def biconnected_components(g):
     return tree
 
 
-def cut_vertices(g):
-    """Nodes whose removal disconnects the (connected) graph."""
-    return set(biconnected_components(g).cut_vertices)
-
-
 # -- triconnected split ------------------------------------------------
 
 
@@ -455,7 +450,9 @@ def triconnected_components(block):
     if isinstance(block, Graph):
         if block.n < 3:
             raise TooSmall(f"need at least 3 nodes, have {block.n}")
-        if not block.is_connected() or cut_vertices(block):
+        reached, cuts, _ = lowpoint(link_adjacency(block.nodes,
+                                                   block.links.items()))
+        if cuts or len(reached) != block.n:
             raise NotBiconnected("input is not 2-connected")
         return decompose_links(block.links)
     raise TypeError("triconnected_components expects a Graph")

@@ -103,10 +103,6 @@ class IntegerEchelon:
     def rank(self):
         return self.ncols - len(self.null)
 
-    @property
-    def full_column_rank(self):
-        return not self.null
-
     def add(self, row, rhs=None):
         """Add one row (list of ints) to the system.
 

@@ -52,28 +52,24 @@ def _walk_paths(g, m1, m2, cap, visit):
     """DFS over all simple m1-m2 paths in lexicographic order.
 
     visit(mask, nodes) is called once per path with the link bitmask
-    and the node index sequence; returning False stops the walk early.
-    Raises PathExplosion when the path count would exceed cap.
+    and the node index sequence. Raises PathExplosion when the path
+    count would exceed cap.
     """
     idx, adj = _indexed_adjacency(g)
     s, t = idx[m1], idx[m2]
     count = 0
-    stop = False
     seq = [s]
 
     def go(v, seen, mask):
-        nonlocal count, stop
+        nonlocal count
         if v == t:
             count += 1
             if count > cap:
                 raise PathExplosion(
                     f"more than {cap} simple monitor paths")
-            if visit(mask, seq) is False:
-                stop = True
+            visit(mask, seq)
             return
         for w, eid in adj[v]:
-            if stop:
-                return
             bit = 1 << w
             if not seen & bit:
                 seq.append(w)
@@ -144,16 +140,18 @@ def build_measurement_matrix(paths, g):
                              ncols=m)
 
 
-def _feed_echelon(g, m1, m2, cap, carry_rhs=False, early_exit=True):
-    """Stream path rows into an echelon; optionally stop at full rank.
+def _feed_echelon(g, m1, m2, cap, carry_rhs=False):
+    """Stream every path row into an echelon.
 
-    Returns (echelon, paths seen, denominator). With early_exit the
-    path count is a lower bound, good enough for verdicts but not for
-    reporting. Every path is fed as the same live 0/1 list, which add
-    does not keep, with only the links where the path differs from the
-    one before flipped. With carry_rhs each right-hand side is the
-    path's integer sum of the metrics times their common denominator,
-    so the echelon's values are the true ones times that denominator.
+    Returns (echelon, path count, denominator). A stop at full column
+    rank would never save a path: 1_star(m1) - 1_star(m2) is orthogonal
+    to every path row, so full rank forces every link at a monitor to
+    be the direct link, which is then the only path. Every path is fed
+    as the same live 0/1 list, which add does not keep, with only the
+    links where the path differs from the one before flipped. With
+    carry_rhs each right-hand side is the path's integer sum of the
+    metrics times their common denominator, so the echelon's values are
+    the true ones times that denominator.
     """
     m = g.m
     ech = IntegerEchelon(m, carry_rhs=carry_rhs)
@@ -183,8 +181,6 @@ def _feed_echelon(g, m1, m2, cap, carry_rhs=False, early_exit=True):
                 total -= weight[j]
             flips ^= low
         add(row, total)
-        if early_exit and ech.full_column_rank:
-            return False
 
     count = _walk_paths(g, m1, m2, cap, visit)
     return ech, count, den
@@ -204,8 +200,6 @@ def identifiable_links_bruteforce(g, monitors=None,
     ech, count, _ = _feed_echelon(g, m1, m2, path_cap)
     if count == 0:
         raise NoPath(f"no simple path joins {m1} and {m2}")
-    if ech.full_column_rank:
-        return set(range(g.m))
     return {j for j in range(g.m) if ech.unit_in_span(j)}
 
 
@@ -225,15 +219,13 @@ class OracleResult:
 def oracle_analysis(g, monitors=None, path_cap=DEFAULT_PATH_CAP):
     """Oracle verdicts plus exact path count, rank, and values.
 
-    Unlike identifiable_links_bruteforce this never stops early, so
     path_count and rank describe the complete measurement system.
     """
     if monitors is None:
         monitors = g.require_monitors()
     m1, m2 = monitors
     carry = g.metrics is not None
-    ech, count, den = _feed_echelon(g, m1, m2, path_cap,
-                                    carry_rhs=carry, early_exit=False)
+    ech, count, den = _feed_echelon(g, m1, m2, path_cap, carry_rhs=carry)
     if count == 0:
         raise NoPath(f"no simple path joins {m1} and {m2}")
     ident = {j for j in range(g.m) if ech.unit_in_span(j)}
@@ -289,8 +281,7 @@ def verify_metric_recovery(g, path_cap=DEFAULT_PATH_CAP):
     if g.metrics is None:
         raise GraphError("metric recovery needs metrics on the graph")
     m1, m2 = g.require_monitors()
-    ech, count, den = _feed_echelon(g, m1, m2, path_cap, carry_rhs=True,
-                                    early_exit=False)
+    ech, count, den = _feed_echelon(g, m1, m2, path_cap, carry_rhs=True)
     if count == 0:
         raise NoPath(f"no simple path joins {m1} and {m2}")
     m = g.m

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import permutations
 from json.encoder import encode_basestring_ascii
 
 from .connectivity import interior_identifiability_predicate
@@ -83,8 +84,8 @@ def fingerprint(g):
     return tuple(sorted(g.links.values()))
 
 
-def diff_instance(g, path_cap=DEFAULT_PATH_CAP, structure=None,
-                  oracle_set=None, report=None):
+def diff_instance(g, path_cap=DEFAULT_PATH_CAP, oracle_set=None,
+                  report=None):
     """Run both engines on one monitored graph.
 
     oracle_set may carry a precomputed oracle verdict set (the oracle
@@ -93,7 +94,7 @@ def diff_instance(g, path_cap=DEFAULT_PATH_CAP, structure=None,
     the caller already ran it.
     """
     if report is None:
-        report = analyze(g, path_cap=path_cap, structure=structure)
+        report = analyze(g, path_cap=path_cap)
     if oracle_set is None:
         oracle_set = identifiable_links_bruteforce(g, path_cap=path_cap)
     rows = []
@@ -147,8 +148,17 @@ class _Tally:
             self._out.close()
             self._out = None
 
-    def digest(self):
-        return self._hash.hexdigest()
+    def summary(self, **extra):
+        return SweepSummary(
+            instances=self.instances,
+            mismatches=self.mismatches,
+            fallback_instances=self.fallback_instances,
+            rule_counts=self.rule_counts,
+            category_counts=self.category_counts,
+            records_digest=self._hash.hexdigest(),
+            mismatch_samples=self.mismatch_samples,
+            extra=extra,
+        )
 
 
 @dataclass
@@ -183,11 +193,28 @@ class SweepSummary:
         return out
 
 
-def _ordered_pairs(nodes):
-    for m1 in nodes:
-        for m2 in nodes:
-            if m1 != m2:
-                yield m1, m2
+def _diff_pairs(g, pairs, path_cap, tally):
+    """Diff both engines on g under each monitor pair in turn, adding
+    each record to tally, and yield (instance, oracle set, first
+    order) after each.
+
+    One Structure serves every pair, and the oracle runs once per
+    unordered pair: first order is True when it ran for this one.
+    """
+    structure = Structure(g)
+    oracle_cache = {}
+    for m1, m2 in pairs:
+        inst = g.with_monitors(m1, m2)
+        key = (m1, m2) if m1 < m2 else (m2, m1)
+        first_order = key not in oracle_cache
+        if first_order:
+            oracle_cache[key] = identifiable_links_bruteforce(
+                inst, path_cap=path_cap)
+        oracle_set = oracle_cache[key]
+        report = analyze(inst, path_cap=path_cap, structure=structure)
+        tally.add(diff_instance(inst, oracle_set=oracle_set, report=report),
+                  report)
+        yield inst, oracle_set, first_order
 
 
 def run_sweep(config, jsonl_path=None):
@@ -200,36 +227,13 @@ def run_sweep(config, jsonl_path=None):
     try:
         for index in range(config.instances):
             g = generate_graph(config, index)
-            structure = Structure(g)
-            if config.monitor_policy == "sampled":
-                pairs = [g.monitors]
-            else:
-                pairs = _ordered_pairs(g.nodes)
-            oracle_cache = {}
-            for m1, m2 in pairs:
-                inst = g.with_monitors(m1, m2)
-                key = (m1, m2) if m1 < m2 else (m2, m1)
-                if key not in oracle_cache:
-                    oracle_cache[key] = identifiable_links_bruteforce(
-                        inst, path_cap=config.path_cap)
-                report = analyze(inst, path_cap=config.path_cap,
-                                 structure=structure)
-                record = diff_instance(inst, path_cap=config.path_cap,
-                                       structure=structure,
-                                       oracle_set=oracle_cache[key],
-                                       report=report)
-                tally.add(record, report)
+            pairs = ([g.monitors] if config.monitor_policy == "sampled"
+                     else permutations(g.nodes, 2))
+            for _ in _diff_pairs(g, pairs, config.path_cap, tally):
+                pass
     finally:
         tally.close()
-    return SweepSummary(
-        instances=tally.instances,
-        mismatches=tally.mismatches,
-        fallback_instances=tally.fallback_instances,
-        rule_counts=tally.rule_counts,
-        category_counts=tally.category_counts,
-        records_digest=tally.digest(),
-        mismatch_samples=tally.mismatch_samples,
-    )
+    return tally.summary()
 
 
 def exhaustive_sweep(max_nodes=6, path_cap=DEFAULT_PATH_CAP,
@@ -255,24 +259,10 @@ def exhaustive_sweep(max_nodes=6, path_cap=DEFAULT_PATH_CAP,
         for n in range(2, max_nodes + 1):
             for g0 in enumerate_all_connected_graphs(n):
                 graphs += 1
-                structure = Structure(g0)
-                oracle_cache = {}
-                for m1, m2 in _ordered_pairs(g0.nodes):
-                    inst = g0.with_monitors(m1, m2)
-                    key = (m1, m2) if m1 < m2 else (m2, m1)
-                    first_order = key not in oracle_cache
-                    if first_order:
-                        oracle_cache[key] = identifiable_links_bruteforce(
-                            inst, path_cap=path_cap)
-                    oracle_set = oracle_cache[key]
-                    report = analyze(inst, path_cap=path_cap,
-                                     structure=structure)
-                    record = diff_instance(inst, path_cap=path_cap,
-                                           structure=structure,
-                                           oracle_set=oracle_set,
-                                           report=report)
-                    tally.add(record, report)
+                for inst, oracle_set, first_order in _diff_pairs(
+                        g0, permutations(g0.nodes, 2), path_cap, tally):
                     per_nodes[n] = per_nodes.get(n, 0) + 1
+                    m1, m2 = inst.monitors
 
                     direct = g0.link_between(m1, m2)
                     for eid in oracle_set:
@@ -284,8 +274,7 @@ def exhaustive_sweep(max_nodes=6, path_cap=DEFAULT_PATH_CAP,
                                  "monitors": [m1, m2], "link": eid})
 
                     if first_order:
-                        interior = [eid for eid, (u, v) in g0.links.items()
-                                    if m1 not in (u, v) and m2 not in (u, v)]
+                        interior = inst.interior_links()
                         if not interior:
                             predicate_vacuous += 1
                         else:
@@ -303,20 +292,11 @@ def exhaustive_sweep(max_nodes=6, path_cap=DEFAULT_PATH_CAP,
                                      "actual": actual})
     finally:
         tally.close()
-    return SweepSummary(
-        instances=tally.instances,
-        mismatches=tally.mismatches,
-        fallback_instances=tally.fallback_instances,
-        rule_counts=tally.rule_counts,
-        category_counts=tally.category_counts,
-        records_digest=tally.digest(),
-        mismatch_samples=tally.mismatch_samples,
-        extra={
-            "graphs": graphs,
-            "instances_per_node_count": dict(sorted(per_nodes.items())),
-            "exterior_violations": exterior_violations,
-            "predicate_violations": predicate_violations,
-            "predicate_checked": predicate_checked,
-            "predicate_vacuous": predicate_vacuous,
-        },
+    return tally.summary(
+        graphs=graphs,
+        instances_per_node_count=dict(sorted(per_nodes.items())),
+        exterior_violations=exterior_violations,
+        predicate_violations=predicate_violations,
+        predicate_checked=predicate_checked,
+        predicate_vacuous=predicate_vacuous,
     )

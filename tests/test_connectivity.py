@@ -19,15 +19,10 @@ from linkident import (
     k_vertex_connected,
 )
 from linkident import connectivity
-from linkident.connectivity import (
-    _bridgeless_connected,
-    _three_edge_connected,
-)
 from linkident.decomposition import _separation_classes
 
 import helpers
 from helpers import (
-    _connected,
     c5,
     edge_connectivity,
     k4,
@@ -69,14 +64,14 @@ def predicate_multigraphs(max_nodes, monkeypatch):
     """Every lobe-plus-bypass MultiGraph the interior predicate builds
     on connected graphs of 2..max_nodes nodes, all monitor pairs."""
     built = []
-    original = connectivity._three_edge_connected
+    original = connectivity.k_vertex_connected
 
-    def record(aug):
+    def record(aug, k):
         built.append(aug)
-        return original(aug)
+        return original(aug, k)
 
     with monkeypatch.context() as patch:
-        patch.setattr(connectivity, "_three_edge_connected", record)
+        patch.setattr(connectivity, "k_vertex_connected", record)
         for n in range(2, max_nodes + 1):
             for g in enumerate_all_connected_graphs(n):
                 for m1, m2 in combinations(g.nodes, 2):
@@ -87,7 +82,10 @@ def predicate_multigraphs(max_nodes, monkeypatch):
 
 def test_vertex_connectivity_matches_brute_force_reference(monkeypatch):
     """The lowpoint passes against deleting every node set, on every
-    connected graph of 4..6 nodes and on the predicate's multigraphs."""
+    connected graph of 4..6 nodes and on the predicate's multigraphs.
+    On each multigraph 3-vertex-connectivity also implies
+    3-edge-connectivity, which is why the predicate tests only the
+    first."""
     graphs = [g for n in range(4, 7)
               for g in enumerate_all_connected_graphs(n)]
     multigraphs = predicate_multigraphs(5, monkeypatch)
@@ -97,6 +95,9 @@ def test_vertex_connectivity_matches_brute_force_reference(monkeypatch):
         for k in (2, 3):
             assert k_vertex_connected(g, k) == \
                 helpers.k_vertex_connected(g, k)
+    for aug in multigraphs:
+        if k_vertex_connected(aug, 3):
+            assert k_edge_connected(aug, 3)
 
 
 def circular_ladder(k):
@@ -142,12 +143,6 @@ def test_edge_connectivity_pinned_cases():
     assert not k_edge_connected(bridge, 2)
 
 
-def test_three_edge_connected_shortcut_agrees_with_general_test():
-    for n in range(2, 6):
-        for g in enumerate_all_connected_graphs(n):
-            assert _three_edge_connected(g) == k_edge_connected(g, 3)
-
-
 def test_connectivity_matches_max_flow_on_200_random_graphs():
     """Cross-check both predicates against an independent Menger count
     on seeded random graphs of up to 10 nodes."""
@@ -162,7 +157,6 @@ def test_connectivity_matches_max_flow_on_200_random_graphs():
             assert k_vertex_connected(g, k) == (kappa >= k)
         for k in range(1, 4):
             assert k_edge_connected(g, k) == (lam >= k)
-        assert _three_edge_connected(g) == (lam >= 3)
         # k-vertex-connected implies k-edge-connected
         for k in range(1, min(4, n)):
             if k_vertex_connected(g, k):
@@ -271,43 +265,6 @@ def test_searches_run_on_a_path_of_5000_nodes():
     assert not k_vertex_connected(g, 2)
     classes = _separation_classes(g.links, 1, 4998)
     assert [len(c) for c in classes] == [1, 4997, 1]
-
-
-def cycle_links(n):
-    return [(i, (i, (i + 1) % n)) for i in range(n)]
-
-
-def test_bridgeless_test_runs_on_a_cycle_of_5000_nodes():
-    assert _bridgeless_connected(set(range(5000)), cycle_links(5000), None)
-
-
-def test_bridgeless_test_finds_the_pendant_link_of_a_5000_cycle():
-    links = cycle_links(5000) + [(5000, (4999, 5000))]
-    assert not _bridgeless_connected(set(range(5001)), links, None)
-
-
-def bridgeless_by_deletion(nodes, links, skip):
-    """Connected, and still connected after deleting any one link."""
-    kept = [(eid, pair) for eid, pair in links if eid != skip]
-    pairs = [pair for _, pair in kept]
-    return _connected(nodes, pairs) and all(
-        _connected(nodes, pairs[:i] + pairs[i + 1:])
-        for i in range(len(pairs)))
-
-
-def test_bridgeless_test_matches_deletion_on_random_multigraphs():
-    """Parallel links, loops of two links and a skipped link, against
-    deleting each link in turn."""
-    for case in range(300):
-        rng = random.Random(5100 + case)
-        n = rng.randint(1, 7)
-        links = [(eid, (rng.randrange(n), rng.randrange(n)))
-                 for eid in range(rng.randint(0, 12))]
-        links = [(eid, (u, w)) for eid, (u, w) in links if u != w]
-        skip = rng.choice([None] + [eid for eid, _ in links])
-        nodes = set(range(n))
-        assert _bridgeless_connected(nodes, links, skip) \
-            == bridgeless_by_deletion(nodes, links, skip)
 
 
 def test_interior_predicate_path_walk_is_bounded(monkeypatch):

@@ -15,7 +15,6 @@ from linkident import (
     UnknownBlock,
     UnknownPair,
     biconnected_components,
-    cut_vertices,
     decompose_links,
     enumerate_all_connected_graphs,
     grid,
@@ -36,13 +35,6 @@ def rebuilt(g):
 
 
 # -- blocks ------------------------------------------------------------
-
-
-def test_cut_vertices_pins():
-    assert cut_vertices(two_triangles()) == {2}
-    assert cut_vertices(path_graph(3)) == {1, 2}
-    assert cut_vertices(c5()) == set()
-    assert cut_vertices(k4()) == set()
 
 
 def test_blocks_of_two_triangles():
@@ -102,6 +94,14 @@ def test_cycle_is_one_polygon():
     tri = triconnected_components(c5())
     assert [c.kind for c in tri.components] == ["polygon"]
     assert sorted(tri.components[0].real_links()) == [0, 1, 2, 3, 4]
+
+
+def test_a_3000_node_cycle_is_one_polygon():
+    """The 2-connectivity check keeps its own stack, so no cycle is too
+    long for the recursion limit."""
+    cycle = Graph(range(3000), [(i, (i + 1) % 3000) for i in range(3000)])
+    tri = triconnected_components(cycle)
+    assert [c.kind for c in tri.components] == ["polygon"]
 
 
 def test_triangle_is_one_polygon():
@@ -174,6 +174,9 @@ def test_neighboring_components_rejects_non_split_pairs():
 def test_requires_biconnected_input():
     with pytest.raises(NotBiconnected):
         triconnected_components(two_triangles())
+    with pytest.raises(NotBiconnected):
+        triconnected_components(Graph(range(6), [(0, 1), (1, 2), (0, 2),
+                                                 (3, 4), (4, 5), (3, 5)]))
     with pytest.raises(TooSmall):
         triconnected_components(Graph([0, 1], [(0, 1)]))
     with pytest.raises(TooSmall):

@@ -98,9 +98,9 @@ def test_nullspace_of_triangle_rows():
 def test_full_column_rank_identifies_everything():
     ech = IntegerEchelon(2)
     ech.add([1, 1])
-    assert not ech.full_column_rank
+    assert ech.rank == 1
     ech.add([0, 1])
-    assert ech.full_column_rank
+    assert ech.rank == 2
     assert ech.unit_in_span(0) and ech.unit_in_span(1)
     assert ech.nullspace_basis() == []
 
@@ -131,7 +131,6 @@ def assert_same_as_reference(ncols, rows, rhss=None, probes=(),
             feed[:] = row
         assert ech.add(feed if live else row, rhs) == ref.add(row, rhs)
         assert ech.rank == ref.rank
-        assert ech.full_column_rank == ref.full_column_rank
         assert ech.inconsistent == ref.inconsistent
         if each_step:
             assert ech.nullspace_basis() == ref.nullspace_basis()

@@ -214,7 +214,10 @@ def test_values_and_witnesses_match_the_reference_on_small_graphs():
     """Every connected graph on 2..5 nodes, every ordered monitor pair,
     seeded metrics mixing ints and Fractions: the oracle's values, and
     verify_metric_recovery's values, witnesses and exactness, equal the
-    Fraction-summing dense reference, down to the repr of each entry."""
+    Fraction-summing dense reference, down to the repr of each entry.
+    No system but a single link reaches full column rank (the ceiling
+    theorem), and identifiable_links_bruteforce agrees with the full
+    analysis."""
     systems = 0
     for n in range(2, 6):
         for index, g in enumerate(enumerate_all_connected_graphs(n)):
@@ -227,8 +230,12 @@ def test_values_and_witnesses_match_the_reference_on_small_graphs():
             for m1, m2 in permutations(g.nodes, 2):
                 inst = g.with_monitors(m1, m2)
                 recovered, witnesses, exact = reference_recovery(inst)
-                values = oracle_analysis(inst).values
+                res = oracle_analysis(inst)
+                values = res.values
                 rec = verify_metric_recovery(inst)
+                assert res.rank < g.m or g.m == 1
+                assert identifiable_links_bruteforce(inst) \
+                    == res.identifiable
                 assert values == rec.recovered == recovered
                 assert rec.witnesses == witnesses
                 assert rec.exact == exact
