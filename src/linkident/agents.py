@@ -13,7 +13,8 @@ monitor finds the agents of all blocks at once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .decomposition import biconnected_components
 from .errors import UnknownBlock
@@ -26,14 +27,22 @@ class AgentAssignment:
     agents[i] is where paths from monitors[i] enter the block;
     connecting_paths[i] is a shortest node path from monitors[i] to
     its agent as a witness (a single-node tuple when the monitor is
-    in the block itself). The two agents coincide exactly when both
+    in the block itself). The paths are computed on first access from
+    prev, the two monitors' BFS prev maps, which every block of one
+    locate_agents call shares; callers that read only the agents pay
+    nothing for them. The two agents coincide exactly when both
     monitors reach the block through the same cut vertex.
     """
 
     block: int
     monitors: tuple
     agents: tuple
-    connecting_paths: tuple
+    prev: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def connecting_paths(self):
+        return tuple(_witness(prev, a)
+                     for prev, a in zip(self.prev, self.agents))
 
 
 def _first_hits(g, m, bct):
@@ -77,7 +86,8 @@ def locate_agents(g, bct=None):
     """Agents of every block for the graph's two monitors.
 
     Returns a dict mapping block id to its AgentAssignment. Costs one
-    BFS per monitor over the whole graph, not one per block. Raises
+    BFS per monitor over the whole graph, not one per block; a
+    block's witness paths are walked only when read. Raises
     UnknownBlock when a block of bct cannot be reached from a monitor
     (bct built from another graph).
     """
@@ -97,6 +107,6 @@ def locate_agents(g, bct=None):
             block=block.bid,
             monitors=(m1, m2),
             agents=(a1, a2),
-            connecting_paths=(_witness(prev1, a1), _witness(prev2, a2)),
+            prev=(prev1, prev2),
         )
     return out

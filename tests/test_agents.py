@@ -9,11 +9,14 @@ from linkident import (
     Graph,
     MonitorsUnset,
     UnknownBlock,
+    analyze,
     biconnected_components,
     gnp_connected,
+    grid,
     identifiable_links_bruteforce,
     locate_agents,
 )
+from linkident import agents as agents_module
 
 from helpers import c5, path_graph, triangle, two_triangles
 
@@ -202,3 +205,16 @@ def test_one_search_per_monitor_on_a_long_chain(monkeypatch):
     calls.clear()
     locate_agents(ring, ring_bct)
     assert calls == []
+
+
+def test_analyze_builds_no_witness_path(monkeypatch):
+    """analyze reads only the agents, so no prev chain is walked."""
+    def refuse(prev, v):
+        raise AssertionError("witness path built")
+
+    monkeypatch.setattr(agents_module, "_witness", refuse)
+    for g in (triangle_chain(300).with_monitors(0, 600),
+              grid(7, 7).with_monitors(0, 48)):
+        analyze(g)
+        with pytest.raises(AssertionError, match="witness path built"):
+            locate_agents(g)[0].connecting_paths

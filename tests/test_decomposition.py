@@ -281,9 +281,11 @@ def test_every_virtual_id_lives_in_exactly_two_components():
 # -- split-pair search against the all-pairs reference ------------------
 
 
-def scan_all_pairs(links, nodes):
+def scan_all_pairs(links, nodes, start=None):
     """Reference split-pair search: every node pair in ascending order,
-    with the same qualification rule as the library."""
+    with the same qualification rule as the library. It ignores start,
+    so matching it proves that the library's start bound skips no
+    qualifying pair."""
     for a, b in combinations(nodes, 2):
         classes = decomposition._separation_classes(links, a, b)
         if len(classes) < 2:
@@ -334,7 +336,7 @@ def test_split_search_finds_a_pair_through_parallel_links(monkeypatch):
     adj = {0: [(1, 0), (3, 3), (1, 5)], 1: [(0, 0), (3, 4), (0, 5)],
            3: [(0, 3), (1, 4)]}
     assert lowpoint(adj, 0)[1] == set()
-    pair, classes = decomposition._find_split_pair(piece, [0, 1, 3])
+    pair, classes = decomposition._find_split_pair(piece, [0, 1, 3], 0)
     assert pair == (0, 1)
     assert (pair, classes) == scan_all_pairs(piece, [0, 1, 3])
     fast, slow = decomposed_both_ways(piece, monkeypatch)
@@ -353,3 +355,19 @@ def test_split_search_tests_few_pairs_on_a_grid(monkeypatch):
     monkeypatch.setattr(decomposition, "_separation_classes", counted)
     decompose_links(grid(9, 9).links)
     assert 0 < len(calls) < 20
+
+
+def test_split_search_resumes_at_the_split_node(monkeypatch):
+    """Each piece's search starts at the smaller node of the pair that
+    cut its parent: 82 lowpoint passes on grid(9, 9), where restarting
+    at every piece's smallest node takes 218."""
+    calls = []
+    original = decomposition.lowpoint
+
+    def counted(adj, *args):
+        calls.append(args)
+        return original(adj, *args)
+
+    monkeypatch.setattr(decomposition, "lowpoint", counted)
+    decompose_links(grid(9, 9).links)
+    assert 0 < len(calls) <= 82
