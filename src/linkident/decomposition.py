@@ -144,8 +144,7 @@ def _endpoints(links):
     return {x for pair in links.values() for x in pair}
 
 
-def _kind_of(links):
-    nodes = _endpoints(links)
+def _kind_of(links, nodes):
     if len(nodes) == 2:
         return BOND
     deg = {v: 0 for v in nodes}
@@ -229,9 +228,9 @@ def _find_split_pair(links, nodes, start):
 def _split(block_links):
     """Split into raw (unmerged) triconnected parts.
 
-    Returns (list of link dicts, virtual id -> endpoint pair); the
-    dict is empty, and the list is the block alone, when nothing was
-    cut.
+    Returns (list of (link dict, kind) pieces, virtual id -> endpoint
+    pair); the dict is empty, and the list is the block alone, when
+    nothing was cut.
 
     Each piece's search starts at the smaller node a of the pair that
     cut its parent. That skips no qualifying pair: a pair (x, y) with
@@ -249,13 +248,14 @@ def _split(block_links):
     while work:
         links, start = work.pop()
         nodes = sorted(_endpoints(links))
-        if len(nodes) == 2 or _kind_of(links) == POLYGON:
-            out.append(links)
+        kind = _kind_of(links, nodes)
+        if kind != RIGID:
+            out.append((links, kind))
             continue
         pair, classes = _find_split_pair(
             links, nodes, nodes[0] if start is None else start)
         if pair is None:
-            out.append(links)
+            out.append((links, RIGID))
             continue
         a, b = pair
         e1 = next(c for c in classes if len(c) >= 2)
@@ -273,24 +273,25 @@ def _split(block_links):
 
 def _merge_same_kind(comps, vpairs):
     """Canonical merging: collapse polygon-polygon and bond-bond pairs
-    sharing a virtual link, until none remain."""
+    sharing a virtual link, until none remain. A merged piece keeps the
+    kind of its parts."""
     changed = True
     while changed:
         changed = False
         holders = {}
         for i, c in enumerate(comps):
-            for eid in c:
+            for eid in c[0]:
                 if eid in vpairs:
                     holders.setdefault(eid, []).append(i)
         for vid in sorted(holders):
             i, j = holders[vid]
-            ki = _kind_of(comps[i])
-            if ki in (POLYGON, BOND) and ki == _kind_of(comps[j]):
-                merged = {**comps[i], **comps[j]}
+            (li, ki), (lj, kj) = comps[i], comps[j]
+            if ki != RIGID and ki == kj:
+                merged = {**li, **lj}
                 del merged[vid]
                 del vpairs[vid]
                 comps = [c for k, c in enumerate(comps) if k not in (i, j)]
-                comps.append(merged)
+                comps.append((merged, ki))
                 changed = True
                 break
     return comps, vpairs
@@ -427,11 +428,12 @@ def decompose_links(block_links):
         # in creation order (deterministic given the deterministic split)
         base = max(block_links) + 1
         remap = {old: base + i for i, old in enumerate(sorted(vpairs))}
-        comps = [{remap.get(eid, eid): pair for eid, pair in c.items()}
-                 for c in comps]
+        comps = [({remap.get(eid, eid): pair for eid, pair in c.items()},
+                  kind) for c, kind in comps]
         vpairs = {remap[old]: pair for old, pair in vpairs.items()}
 
-        def comp_key(c):
+        def comp_key(piece):
+            c = piece[0]
             reals = sorted(eid for eid in c if eid not in vpairs)
             if reals:
                 return (0, reals[0])
@@ -442,11 +444,10 @@ def decompose_links(block_links):
     components = []
     pairing = {}
     split_pairs = {}
-    for cid, links in enumerate(comps):
+    for cid, (links, kind) in enumerate(comps):
         virtual = frozenset(eid for eid in links if eid in vpairs)
         mg = MultiGraph(_endpoints(links), links, virtual=virtual)
-        components.append(TriComponent(cid=cid, kind=_kind_of(links),
-                                       graph=mg))
+        components.append(TriComponent(cid=cid, kind=kind, graph=mg))
         for vid in virtual:
             pairing.setdefault(vid, []).append(cid)
         split_pairs[cid] = sorted({vpairs[vid] for vid in virtual})

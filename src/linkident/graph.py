@@ -208,9 +208,6 @@ class Graph:
         except KeyError:
             raise UnknownNode(f"no node {v}") from None
 
-    def degree(self, v):
-        return len(self.neighbors(v))
-
     def link_between(self, u, v):
         """Link id joining u and v, or None."""
         return self._index.get(_normalize(u, v))

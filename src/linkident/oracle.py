@@ -212,9 +212,6 @@ class OracleResult:
     rank: int
     values: dict | None     # link id -> Fraction, when metrics known
 
-    def verdict(self, eid):
-        return eid in self.identifiable
-
 
 def oracle_analysis(g, monitors=None, path_cap=DEFAULT_PATH_CAP):
     """Oracle verdicts plus exact path count, rank, and values.

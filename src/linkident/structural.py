@@ -15,7 +15,11 @@ block:
     component, plus any parallel real link it adopts from a bond at
     one of its split pairs.
 
-Four shapes cover rigid components and triangles. Larger polygons do
+Four shapes cover rigid components and triangles, and the shapes are
+exhaustive: an agent outside a component is beyond exactly one of its
+split pairs. A crossed triangle's third side, the shortcut, is always
+identifiable: a lone polygon at a crossing pair would have merged with
+the triangle into a polygon on 4 or more nodes. Larger polygons do
 not admit a sound local rule (a long cycle with adjacent monitors is
 the minimal counterexample), so a block containing one falls back to
 the exact oracle, run on the block alone with its agents as monitors.
@@ -47,7 +51,7 @@ from .decomposition import (
     biconnected_components,
     decompose_links,
 )
-from .errors import UnknownPair, WrongAgentCount
+from .errors import WrongAgentCount
 from .graph import Graph, reachable
 from .oracle import DEFAULT_PATH_CAP, identifiable_links_bruteforce
 
@@ -60,7 +64,6 @@ RULE_DEFERRED = "pair-link-deferred-resolved"
 RULE_TRANSIT = "transit-rigid"
 RULE_CROSSLINK = "transit-triangle-crosslink"
 RULE_SHORTCUT = "transit-triangle-shortcut"
-RULE_BLOCKED = "transit-triangle-blocked"
 RULE_TOO_FEW = "too-few-agents"
 RULE_FALLBACK = "oracle-fallback"
 
@@ -74,7 +77,6 @@ ALL_RULES = (
     RULE_TRANSIT,
     RULE_CROSSLINK,
     RULE_SHORTCUT,
-    RULE_BLOCKED,
     RULE_TOO_FEW,
     RULE_FALLBACK,
 )
@@ -155,12 +157,9 @@ class Structure:
         key = (bid, tuple(sorted(agents)))
         if key not in self._block_oracle:
             block = self.bct.block(bid)
-            ids = sorted(block.links)
-            sub = Graph(sorted(block.nodes),
-                        [self.g.links[eid] for eid in ids],
-                        monitors=tuple(sorted(agents)))
-            pos = _identifiable(sub, path_cap)
-            self._block_oracle[key] = frozenset(ids[i] for i in pos)
+            self._block_oracle[key] = _identifiable(
+                block.nodes, {eid: self.g.links[eid] for eid in block.links},
+                key[1], path_cap)
         return self._block_oracle[key]
 
     def rigid_pair_ok(self, bid, cid, pair, path_cap=DEFAULT_PATH_CAP):
@@ -179,25 +178,25 @@ class Structure:
         key = (bid, cid, tuple(sorted(pair)))
         if key not in self._pair_ok:
             comp = self.tri(bid).component(cid)
-            ids = sorted(comp.links)
-            sub = Graph(sorted(comp.nodes),
-                        [comp.links[eid] for eid in ids],
-                        monitors=key[2])
-            ident = _identifiable(sub, path_cap)
-            eff = set(pair)
+            x, y = key[2]
+            ident = _identifiable(comp.nodes, comp.links, key[2], path_cap)
             self._pair_ok[key] = all(
-                pos in ident for pos, eid in enumerate(ids)
-                if not eff & set(comp.links[eid]))
+                eid in ident for eid, (u, v) in comp.links.items()
+                if u != x and u != y and v != x and v != y)
         return self._pair_ok[key]
 
 
-def _identifiable(sub, path_cap):
-    """Exact identifiable set of sub: certified when the certificates
-    settle it, enumerated by the oracle otherwise."""
-    ident = certified_identifiable(sub)
-    if ident is None:
-        ident = identifiable_links_bruteforce(sub, path_cap=path_cap)
-    return ident
+def _identifiable(nodes, links, monitors, path_cap):
+    """Exact identifiable ids among links (id -> pair) measured between
+    monitors: certified when the certificates settle it, enumerated by
+    the oracle otherwise."""
+    ids = sorted(links)
+    sub = Graph(sorted(nodes), [links[eid] for eid in ids],
+                monitors=monitors)
+    pos = certified_identifiable(sub)
+    if pos is None:
+        pos = identifiable_links_bruteforce(sub, path_cap=path_cap)
+    return frozenset(ids[i] for i in pos)
 
 
 def _require_two_agents(agents):
@@ -208,16 +207,12 @@ def _require_two_agents(agents):
     return distinct
 
 
-def _pairs_beyond(st, bid, comp, agent):
-    """Split pairs of comp with the given agent strictly beyond them."""
-    d = st.tri(bid)
-    out = []
-    for vid in sorted(comp.virtuals):
+def _pair_beyond(st, bid, comp, agent):
+    """The one split pair of comp with agent strictly beyond it."""
+    for vid in comp.virtuals:
         if agent in st.far_nodes(bid, comp.cid, vid):
-            pair = d.pair_nodes[vid]
-            if pair not in out:
-                out.append(pair)
-    return out
+            return st.tri(bid).pair_nodes[vid]
+    raise AssertionError(f"agent {agent} beyond no pair of {comp.cid}")
 
 
 def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
@@ -235,19 +230,26 @@ def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
          makes that pair effective, two different pairs make the
          component a crossing (transit) piece.
 
+    The cases are exhaustive because an agent outside the component is
+    beyond exactly one split pair: the components holding a node form a
+    connected subtree of the component tree, and a canonical non-bond
+    component has one virtual link per split pair. A transit triangle
+    needs no check that its shortcut can be bypassed: the neighbour at
+    each crossing pair is a bond of three or more links or a rigid
+    component, since a lone polygon there would have merged with the
+    triangle into a polygon on 4 or more nodes, which falls back.
+
     A rigid component with an effective pair must also pass the exact
     per-component check rigid_pair_ok before it keeps the AGENT_PAIR
     category: being three-connected does not by itself make all links
     away from the pair identifiable (the triangular prism measured
     across a rung is the smallest counterexample), and a component
-    that fails the check falls back rather than over-promise.
-
-    Situations outside these shapes are structural impossibilities;
-    they classify as FALLBACK defensively rather than guess.
+    that fails the check falls back rather than over-promise. A shared
+    pair without two disjoint routes from the agents onto it falls
+    back too.
     """
     distinct = _require_two_agents(agents)
-    d = st.tri(bid)
-    comp = d.component(cid)
+    comp = st.tri(bid).component(cid)
     if comp.kind == BOND:
         raise ValueError("bond components are not classified; their"
                          " links are adopted by their neighbors")
@@ -267,20 +269,14 @@ def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
     if len(inside) == 1:
         m = inside[0]
         (other,) = distinct - {m}
-        ps = _pairs_beyond(st, bid, comp, other)
-        if len(ps) != 1:
-            return Classification(category=Category.FALLBACK)
-        p = ps[0]
+        p = _pair_beyond(st, bid, comp, other)
         if m in p:
             return agent_pair(p)
         return Classification(category=Category.INNER_AGENT,
                               inner_agent=m, toward_pair=p)
     a1, a2 = sorted(distinct)
-    ps1 = _pairs_beyond(st, bid, comp, a1)
-    ps2 = _pairs_beyond(st, bid, comp, a2)
-    if len(ps1) != 1 or len(ps2) != 1:
-        return Classification(category=Category.FALLBACK)
-    p1, p2 = ps1[0], ps2[0]
+    p1 = _pair_beyond(st, bid, comp, a1)
+    p2 = _pair_beyond(st, bid, comp, a2)
     if p1 == p2:
         block = st.bct.block(bid)
         pairs = [st.g.links[eid] for eid in block.links]
@@ -367,120 +363,59 @@ class _Claims:
         return eid in self.verdicts
 
 
-def _parallel_real(d, cid, pair):
-    """Id of a real link joining this split pair in parallel (it lives
-    in the bond there), or None."""
-    try:
-        return d.neighboring_components(cid, pair).real_link
-    except UnknownPair:
-        return None
-
-
-def _side_has_choices(d, cid, pair):
-    """Whether the far side of a split pair offers more than one way
-    through: a parallel real link, several attached components, or a
-    rigid one."""
-    comp = d.component(cid)
-    for eid, (a, b) in comp.links.items():
-        if {a, b} == set(pair) and eid not in comp.virtuals:
-            return True
-    ns = d.neighboring_components(cid, pair)
-    if ns.real_link is not None:
-        return True
-    if len(ns.components) >= 2:
-        return True
-    return any(d.component(c).kind == RIGID for c in ns.components)
-
-
-def _mark_inner_agent(d, comp, cls, direct, claims):
-    m = cls.inner_agent
-    for eid, (u, v) in sorted(comp.links.items()):
-        if eid in comp.virtuals or eid == direct:
-            continue
-        if m in (u, v):
-            claims.claim(eid, False, RULE_INNER_EXTERIOR)
-        else:
-            claims.claim(eid, True, RULE_INNER_INTERIOR)
+def _spoken_links(d, comp, direct):
+    """(id, endpoints) of the real links comp speaks for: its own in id
+    order, then the real link parallel at each of its split pairs (it
+    lives in the bond there). The direct agent link is marked apart and
+    left out."""
+    out = [(eid, pair) for eid, pair in sorted(comp.links.items())
+           if eid not in comp.virtuals and eid != direct]
     for pair in d.split_pairs[comp.cid]:
-        pr = _parallel_real(d, comp.cid, pair)
-        if pr is None or pr == direct:
-            continue
-        if m in pair:
-            claims.claim(pr, False, RULE_INNER_EXTERIOR)
-        else:
-            claims.claim(pr, True, RULE_INNER_INTERIOR)
+        eid = d.neighboring_components(comp.cid, pair).real_link
+        if eid is not None and eid != direct:
+            out.append((eid, pair))
+    return out
 
 
-def _mark_agent_pair(d, comp, cls, agents, direct, claims, deferred):
-    x, y = cls.effective_pair
-    eff = {x, y}
-
-    def pair_link(eid):
-        # a link joining the effective pair end to end
-        n_agents = len(eff & set(agents))
-        if n_agents == 2:
-            assert eid == direct
-        elif n_agents == 1:
-            claims.claim(eid, False, RULE_PAIR_EXTERIOR)
-        else:
-            deferred.add(eid)
-
-    for eid, (u, v) in sorted(comp.links.items()):
-        if eid in comp.virtuals or eid == direct:
-            continue
-        if {u, v} == eff:
-            pair_link(eid)
-        elif u in eff or v in eff:
-            claims.claim(eid, False, RULE_PAIR_EXTERIOR)
-        else:
-            claims.claim(eid, True, RULE_PAIR_INTERIOR)
-    for pair in d.split_pairs[comp.cid]:
-        pr = _parallel_real(d, comp.cid, pair)
-        if pr is None or pr == direct:
-            continue
-        if set(pair) == eff:
-            pair_link(pr)
-        elif eff & set(pair):
-            claims.claim(pr, False, RULE_PAIR_EXTERIOR)
-        else:
-            claims.claim(pr, True, RULE_PAIR_INTERIOR)
-
-
-def _mark_transit_rigid(d, comp, cls, claims):
-    for eid in sorted(comp.real_links()):
-        claims.claim(eid, True, RULE_TRANSIT)
-    for pair in cls.det_pairs:
-        pr = _parallel_real(d, comp.cid, pair)
-        if pr is not None:
-            claims.claim(pr, True, RULE_TRANSIT)
-    # parallels at the remaining pairs belong to hanging subtrees; the
-    # components hanging there speak for them
-
-
-def _mark_transit_triangle(d, comp, cls, claims):
-    p1, p2 = cls.det_pairs
-    shared = set(p1) & set(p2)
-    assert len(shared) == 1
-    shortcut = tuple(sorted((set(p1) | set(p2)) - shared))
-    for eid, (u, v) in sorted(comp.links.items()):
-        if eid in comp.virtuals:
-            continue
-        if {u, v} in ({*p1}, {*p2}):
-            claims.claim(eid, True, RULE_CROSSLINK)
-    for pair in (p1, p2):
-        pr = _parallel_real(d, comp.cid, pair)
-        if pr is not None:
-            claims.claim(pr, True, RULE_CROSSLINK)
-    sc_real = None
-    for eid, (u, v) in comp.links.items():
-        if {u, v} == set(shortcut) and eid not in comp.virtuals:
-            sc_real = eid
-    if sc_real is None:
-        sc_real = _parallel_real(d, comp.cid, shortcut)
-    if sc_real is not None:
-        ok = (_side_has_choices(d, comp.cid, p1)
-              and _side_has_choices(d, comp.cid, p2))
-        claims.claim(sc_real, ok, RULE_SHORTCUT if ok else RULE_BLOCKED)
+def _mark(d, comp, cls, agents, direct, claims, deferred):
+    """Claim every link comp speaks for by its category's rule."""
+    cat = cls.category
+    links = _spoken_links(d, comp, direct)
+    if cat is Category.INNER_AGENT:
+        m = cls.inner_agent
+        for eid, (u, v) in links:
+            if u == m or v == m:
+                claims.claim(eid, False, RULE_INNER_EXTERIOR)
+            else:
+                claims.claim(eid, True, RULE_INNER_INTERIOR)
+    elif cat is Category.AGENT_PAIR:
+        x, y = cls.effective_pair
+        for eid, (u, v) in links:
+            if u == x and v == y:
+                # a link joining the effective pair end to end
+                n_agents = (x in agents) + (y in agents)
+                assert n_agents < 2, "only the direct link joins the agents"
+                if n_agents:
+                    claims.claim(eid, False, RULE_PAIR_EXTERIOR)
+                else:
+                    deferred.add(eid)
+            elif u == x or u == y or v == x or v == y:
+                claims.claim(eid, False, RULE_PAIR_EXTERIOR)
+            else:
+                claims.claim(eid, True, RULE_PAIR_INTERIOR)
+    elif cat is Category.TRANSIT_RIGID:
+        # a rigid component has no real link at a split pair; parallels
+        # at the other pairs belong to the subtrees hanging there
+        hanging = [p for p in d.split_pairs[comp.cid]
+                   if p not in cls.det_pairs]
+        for eid, pair in links:
+            if pair not in hanging:
+                claims.claim(eid, True, RULE_TRANSIT)
+    else:
+        # the third side is the shortcut, never blocked (module docstring)
+        for eid, pair in links:
+            rule = RULE_CROSSLINK if pair in cls.det_pairs else RULE_SHORTCUT
+            claims.claim(eid, True, rule)
 
 
 def _analyze_block(st, block, agents, monitors, path_cap, claims,
@@ -525,15 +460,7 @@ def _analyze_block(st, block, agents, monitors, path_cap, claims,
 
     deferred = set()
     for comp, cls in classified:
-        if cls.category is Category.INNER_AGENT:
-            _mark_inner_agent(d, comp, cls, direct, claims)
-        elif cls.category is Category.AGENT_PAIR:
-            _mark_agent_pair(d, comp, cls, agents, direct, claims,
-                             deferred)
-        elif cls.category is Category.TRANSIT_RIGID:
-            _mark_transit_rigid(d, comp, cls, claims)
-        else:
-            _mark_transit_triangle(d, comp, cls, claims)
+        _mark(d, comp, cls, agents, direct, claims, deferred)
 
     unresolved = sorted(eid for eid in deferred if eid not in claims)
     if unresolved:

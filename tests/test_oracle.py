@@ -116,7 +116,7 @@ def test_oracle_analysis_reports_counts_and_rank():
     assert res.path_count == 5
     assert res.rank == 5
     assert res.identifiable == {0, 5}
-    assert res.verdict(0) and not res.verdict(2)
+    assert 0 in res.identifiable and 2 not in res.identifiable
     assert res.values is None
 
     line = oracle_analysis(path_graph(2, monitors=(0, 2)))

@@ -14,8 +14,11 @@ from linkident import (
     analyze,
     classify_component,
     diff_instance,
+    enumerate_all_connected_graphs,
     gnp_connected,
+    grid,
     identifiable_links_bruteforce,
+    random_biconnected,
 )
 from linkident.structural import _Claims
 
@@ -167,6 +170,19 @@ def test_transit_triangle_instance_rules():
     assert rep.identifiable() == identifiable_links_bruteforce(g)
 
 
+def test_lone_polygon_side_merges_the_triangle_into_a_fallback():
+    """The transit-triangle instance with side (1,3) reduced to one
+    two-hop detour: that polygon merges with the triangle into a square
+    1-2-3-5, so the far link (2,3) falls back to the oracle."""
+    g = Graph(range(1, 6), [(1, 2), (2, 3), (1, 4), (4, 2), (1, 5),
+                            (5, 3)], monitors=(4, 5))
+    far = g.link_between(2, 3)
+    rep = analyze(g)
+    assert rep.verdicts[far].rule == "oracle-fallback"
+    assert far not in identifiable_links_bruteforce(g)
+    assert rep.identifiable() == identifiable_links_bruteforce(g)
+
+
 def test_hanging_component_defers_its_pair_link_to_the_oracle():
     g = hanging_component_instance()
     rep = analyze(g)
@@ -235,6 +251,58 @@ def test_classify_component_pins():
     cls = classify_component(stc, 0, 2, (4, 5))
     assert cls.category is Category.TRANSIT_TRIANGLE
     assert cls.det_pairs == ((1, 2), (1, 3))
+
+
+# -- facts of the canonical split the marking rules rest on ---------
+
+
+def _split_blocks():
+    """(Structure, decomposition, block) for every block on 3 or more
+    nodes of every connected graph on 3..5 nodes, 100 seeded random
+    2-connected graphs on 6..14 nodes, and grids 3..6."""
+    graphs = [g for n in range(3, 6)
+              for g in enumerate_all_connected_graphs(n)]
+    rng = random.Random(1212)
+    graphs += [random_biconnected(rng.randint(6, 14), rng)
+               for _ in range(100)]
+    graphs += [grid(k, k) for k in range(3, 7)]
+    for g in graphs:
+        st = Structure(g)
+        for block in st.bct.blocks:
+            if len(block.nodes) >= 3:
+                yield st, st.tri(block.bid), block
+
+
+def test_an_outside_node_is_beyond_exactly_one_split_pair():
+    for st, d, block in _split_blocks():
+        for comp in d.components:
+            if comp.kind == "bond":
+                continue
+            for v in set(block.nodes) - set(comp.nodes):
+                beyond = [vid for vid in comp.virtuals
+                          if v in st.far_nodes(block.bid, comp.cid, vid)]
+                assert len(beyond) == 1, (block, comp.cid, v)
+
+
+def test_a_triangle_has_a_second_way_through_every_split_pair():
+    for _, d, block in _split_blocks():
+        for comp in d.components:
+            if comp.kind != "polygon" or len(comp.nodes) != 3:
+                continue
+            for pair in d.split_pairs[comp.cid]:
+                ns = d.neighboring_components(comp.cid, pair)
+                assert (ns.real_link is not None
+                        or len(ns.components) >= 2
+                        or any(d.component(c).kind == "rigid"
+                               for c in ns.components)), (block, pair)
+
+
+def test_a_rigid_component_has_no_parallel_links():
+    for _, d, block in _split_blocks():
+        for comp in d.components:
+            if comp.kind == "rigid":
+                pairs = list(comp.links.values())
+                assert len(set(pairs)) == len(pairs), (block, comp.cid)
 
 
 # -- engine plumbing ----------------------------------------------------
