@@ -1,29 +1,48 @@
 """Exact identifiable sets from a few paths, before full enumeration.
 
-Two facts settle most monitored graphs that the structural engine
-hands to the oracle, with a handful of paths in place of all of them:
+The question is which links a measurement between the two monitors
+identifies, that is, which unit vectors lie in the row space of all
+simple m1-m2 path rows. Certificates settle most monitored graphs that
+the structural engine hands to the oracle, with a handful of paths in
+place of all of them.
 
-  * the ceiling: 1_star(m1) - 1_star(m2), the links at m1 counted +1
-    and the links at m2 counted -1, has dot product 0 with every
-    simple m1-m2 path row, since such a path leaves m1 once and
-    enters m2 once (the direct m1-m2 link, if any, counts 0). So no
-    link at a monitor is identifiable, except the direct link;
+Positive side, a link is identifiable:
+
   * the switch: for an interior link e = uv, four paths Pa: m1->u,
     Pb: v->m2, Qa: m1->v, Qb: u->m2, with Pa, Pb disjoint, Qa, Qb
     disjoint, Pa and Qb meeting only at u and Qa and Pb only at v,
     give four simple paths whose signed sum is twice e:
     (Pa.e.Pb) + (Qa.e.Qb) - (Pa.Qb) - (Qa.Pb) = 2e.
+    A link that has them is identifiable outright, with no elimination;
+  * the direct m1-m2 link, if any, is a path on its own.
 
-certified_identifiable feeds short genuine simple paths (glued from
-two breadth-first trees, then switch paths for each link still
-unsettled) into one IntegerEchelon, and stops once every column some
-nullspace vector touches lies in the ceiling. The identifiable set is
-then exactly the links outside the ceiling: the rows are real path
-rows, and the ceiling carries its null vector. When the seeds run out
+Negative side, certified null vectors, each with dot product 0 with
+every simple m1-m2 path row:
+
+  * the ceiling 1_star(m1) - 1_star(m2), the links at m1 counted +1
+    and the links at m2 counted -1 (the direct link counts 0), since a
+    path leaves m1 once and enters m2 once. So no link at a monitor is
+    identifiable, except the direct link;
+  * e_a - e_b for each node other than the monitors that has exactly
+    two links a and b, since every path through that node uses both.
+
+certified_identifiable first asks the switch of every link outside the
+ceiling. When that does not settle everything, it puts a unit row for
+each settled link into one IntegerEchelon and feeds short genuine
+simple paths, glued from two breadth-first trees, then the switch
+paths themselves. Every row lies in the row space of the real paths,
+so null(all paths) lies in the nullspace the echelon keeps. It stops
+once that nullspace is exact: either every column it touches lies in
+the ceiling, or its dimension equals the rank of the certified null
+vectors, which lie in null(all paths). The identifiable set is then
+the links no nullspace vector touches, and every other link, interior
+links included, is proven unidentifiable. When the seeds run out
 first it returns None, and the caller enumerates.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .linalg import IntegerEchelon
 from .oracle import _indexed_adjacency
@@ -72,13 +91,14 @@ def _tree_seeds(adj, s, t):
 
 def _switch_seeds(adj, s, t, eid, a, b):
     """Link masks of the four switch paths of link eid = ab, whose
-    signed sum is twice eid; nothing when no blocked search finds them.
+    signed sum is twice eid, as a tuple; () when no blocked search
+    finds them.
 
     A link at s or t has no switch certificate (the ceiling says it is
-    not identifiable), so it yields nothing.
+    not identifiable), so it gets ().
     """
     if {a, b} & {s, t}:
-        return
+        return ()
     e = 1 << eid
     for u, v in ((a, b), (b, a)):
         pa = _bfs(adj, s, 1 << v | 1 << t, u).get(u)
@@ -93,11 +113,45 @@ def _switch_seeds(adj, s, t, eid, a, b):
         qb = _bfs(adj, u, qa[0] | pa[0] ^ 1 << u, t).get(t)
         if qb is None:
             continue
-        yield pa[1] | e | pb[1]
-        yield qa[1] | e | qb[1]
-        yield pa[1] | qb[1]
-        yield qa[1] | pb[1]
-        return
+        return (pa[1] | e | pb[1], qa[1] | e | qb[1],
+                pa[1] | qb[1], qa[1] | pb[1])
+    return ()
+
+
+def _degree_two_links(adj, s, t):
+    """(a, b) for each node other than s and t with exactly two links
+    a and b: e_a - e_b is a null vector of every s-t path."""
+    for w, nbrs in enumerate(adj):
+        if len(nbrs) == 2 and w != s and w != t:
+            yield nbrs[0][1], nbrs[1][1]
+
+
+def _null_rank(m, pairs, coef):
+    """Rank of the vectors e_a - e_b, (a, b) in pairs, together with
+    the vector coef ({column: int}) over m columns.
+
+    The differences span the vectors that sum to 0 over each class of
+    columns they join (a forest count gives their rank), so coef adds
+    one to the rank exactly when some class does not sum to 0.
+    """
+    parent = list(range(m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    rank = 0
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            rank += 1
+    sums = {}
+    for j, c in coef.items():
+        r = find(j)
+        sums[r] = sums.get(r, 0) + c
+    return rank + any(sums.values())
 
 
 def certified_identifiable(sub):
@@ -106,15 +160,16 @@ def certified_identifiable(sub):
 
     A set returned equals identifiable_links_bruteforce(sub). None also
     covers monitors that no path joins, so that the oracle raises
-    NoPath for them.
+    NoPath for them: the settling test runs only after a seed path.
     """
     m1, m2 = sub.require_monitors()
     idx, adj = _indexed_adjacency(sub)
     s, t = idx[m1], idx[m2]
     direct = sub.link_between(m1, m2)
-    ceiling = {eid for _, eid in adj[s]} | {eid for _, eid in adj[t]}
-    ceiling.discard(direct)
-    rest = set(range(sub.m)) - ceiling
+    ceiling = {eid: 1 for _, eid in adj[s]}     # the ceiling vector
+    ceiling.update((eid, -1) for _, eid in adj[t])
+    ceiling.pop(direct, None)
+    rest = set(range(sub.m)) - ceiling.keys()
     if rest <= {direct}:
         # every path is the direct link or two links through a common
         # neighbour, and the direct link is a path row on its own
@@ -123,13 +178,30 @@ def certified_identifiable(sub):
             return None
         return rest
 
+    known = {direct} if direct is not None else set()
+    switches = []
+    for eid in sorted(rest - known):
+        u, v = sub.links[eid]
+        masks = _switch_seeds(adj, s, t, eid, idx[u], idx[v])
+        if masks:
+            known.add(eid)
+            switches.extend(masks)
+    if known == rest:
+        return rest
+
     ech = IntegerEchelon(sub.m)
     row = [0] * sub.m
+    for eid in sorted(known):
+        row[eid] = 1
+        ech.add(row)
+        row[eid] = 0
+    certified_rank = _null_rank(sub.m, _degree_two_links(adj, s, t),
+                                ceiling)
     last = 0
-    support = set(range(sub.m))
+    support = set().union(*ech.null)
 
-    def settled(mask):
-        """Feed one path; True once the support lies in the ceiling."""
+    def settles(mask):
+        """Feed one path; True once the echelon's nullspace is exact."""
         nonlocal last, support
         flips = mask ^ last
         last = mask
@@ -137,17 +209,12 @@ def certified_identifiable(sub):
             low = flips & -flips
             row[low.bit_length() - 1] ^= 1
             flips ^= low
-        if not ech.add(row):
-            return False
-        support = set().union(*ech.null)
-        return support <= ceiling
+        if ech.add(row):
+            support = set().union(*ech.null)
+        return len(ech.null) == certified_rank or support <= ceiling.keys()
 
-    if any(settled(mask) for mask in _tree_seeds(adj, s, t)):
-        return rest
-    for eid in sorted(rest):
-        if eid in support:
-            u, v = sub.links[eid]
-            if any(settled(mask) for mask in
-                   _switch_seeds(adj, s, t, eid, idx[u], idx[v])):
-                return rest
+    # the switch paths span more than their unit rows, so they follow
+    # the tree seeds; they exist only when a tree seed does
+    if any(settles(mask) for mask in chain(_tree_seeds(adj, s, t), switches)):
+        return set(range(sub.m)) - support
     return None

@@ -81,9 +81,10 @@ class BlockCutTree:
 
 
 def biconnected_components(g):
-    """Block-cut tree of a connected graph."""
-    if not g.is_connected():
-        raise Disconnected("graph is not connected")
+    """Block-cut tree of a connected graph.
+
+    Raises Disconnected when the DFS from the first node misses a node.
+    """
     disc = {}
     low = {}
     stack = []
@@ -119,6 +120,8 @@ def biconnected_components(g):
 
     if g.nodes:
         dfs(g.nodes[0], None)
+    if len(disc) < g.n:
+        raise Disconnected("graph is not connected")
 
     raw_blocks.sort(key=min)
     blocks = []

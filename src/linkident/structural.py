@@ -108,11 +108,11 @@ class Structure:
     """Monitor-independent decomposition state of one graph.
 
     Caches the block-cut tree, per-block triconnected decompositions,
-    far-side node sets per virtual link, and per-block oracle runs, so
-    that repeated analyses of the same topology under different
-    monitor placements share all the heavy work. Monitors on the held
-    graph are ignored; analyze() accepts a Structure built from any
-    graph with identical nodes and links.
+    far-side node sets per virtual link, per-block oracle runs and
+    disjoint-fan answers, so that repeated analyses of the same
+    topology under different monitor placements share all the heavy
+    work. Monitors on the held graph are ignored; analyze() accepts a
+    Structure built from any graph with identical nodes and links.
     """
 
     def __init__(self, g):
@@ -122,6 +122,7 @@ class Structure:
         self._far = {}
         self._block_oracle = {}
         self._pair_ok = {}
+        self._fan = {}
 
     def tri(self, bid):
         """Triconnected decomposition of a block, by block id.
@@ -184,6 +185,18 @@ class Structure:
                 eid in ident for eid, (u, v) in comp.links.items()
                 if u != x and u != y and v != x and v != y)
         return self._pair_ok[key]
+
+    def disjoint_fan(self, bid, agents, pair):
+        """Two fully vertex-disjoint paths in the block from the two
+        agents onto the two pair nodes? The answer is cached per block,
+        agent set and pair, so both orders of a monitor pair share it."""
+        key = (bid, tuple(sorted(agents)), tuple(sorted(pair)))
+        if key not in self._fan:
+            block = self.bct.block(bid)
+            self._fan[key] = has_disjoint_fan(
+                block.nodes, [self.g.links[eid] for eid in block.links],
+                set(key[1]), set(key[2]))
+        return self._fan[key]
 
 
 def _identifiable(nodes, links, monitors, path_cap):
@@ -278,9 +291,7 @@ def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
     p1 = _pair_beyond(st, bid, comp, a1)
     p2 = _pair_beyond(st, bid, comp, a2)
     if p1 == p2:
-        block = st.bct.block(bid)
-        pairs = [st.g.links[eid] for eid in block.links]
-        if not has_disjoint_fan(block.nodes, pairs, distinct, set(p1)):
+        if not st.disjoint_fan(bid, distinct, p1):
             return Classification(category=Category.FALLBACK)
         return agent_pair(p1)
     det = tuple(sorted((p1, p2)))

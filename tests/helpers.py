@@ -25,8 +25,10 @@ from linkident import (
     TooSmall,
     enumerate_simple_paths,
 )
+from linkident.certify import _switch_seeds, _tree_seeds
 from linkident.graph import node_adjacency, reachable
-from linkident.oracle import build_measurement_matrix
+from linkident.linalg import IntegerEchelon
+from linkident.oracle import _indexed_adjacency, build_measurement_matrix
 
 
 # -- small named graphs --------------------------------------------------
@@ -433,3 +435,62 @@ def reference_recovery(g):
             delta = next(d for d in basis if d[j] != 0)
             witnesses[j] = (truth, dense_positive_alternative(truth, delta))
     return recovered, witnesses, exact
+
+
+# -- the certificate rung before per-link switch certificates --------------
+# Kept verbatim as the reference the current rung must settle a superset
+# of: tree seeds first, then the switch paths of each link still in the
+# support, and only the ceiling as a certified null vector.
+
+
+def previous_certified_identifiable(sub):
+    """Exact set of identifiable link ids of sub between its monitors,
+    or None when the certificates do not settle it.
+
+    A set returned equals identifiable_links_bruteforce(sub). None also
+    covers monitors that no path joins, so that the oracle raises
+    NoPath for them.
+    """
+    m1, m2 = sub.require_monitors()
+    idx, adj = _indexed_adjacency(sub)
+    s, t = idx[m1], idx[m2]
+    direct = sub.link_between(m1, m2)
+    ceiling = {eid for _, eid in adj[s]} | {eid for _, eid in adj[t]}
+    ceiling.discard(direct)
+    rest = set(range(sub.m)) - ceiling
+    if rest <= {direct}:
+        # every path is the direct link or two links through a common
+        # neighbour, and the direct link is a path row on its own
+        if direct is None and not ({w for w, _ in adj[s]}
+                                   & {w for w, _ in adj[t]}):
+            return None
+        return rest
+
+    ech = IntegerEchelon(sub.m)
+    row = [0] * sub.m
+    last = 0
+    support = set(range(sub.m))
+
+    def settled(mask):
+        """Feed one path; True once the support lies in the ceiling."""
+        nonlocal last, support
+        flips = mask ^ last
+        last = mask
+        while flips:
+            low = flips & -flips
+            row[low.bit_length() - 1] ^= 1
+            flips ^= low
+        if not ech.add(row):
+            return False
+        support = set().union(*ech.null)
+        return support <= ceiling
+
+    if any(settled(mask) for mask in _tree_seeds(adj, s, t)):
+        return rest
+    for eid in sorted(rest):
+        if eid in support:
+            u, v = sub.links[eid]
+            if any(settled(mask) for mask in
+                   _switch_seeds(adj, s, t, eid, idx[u], idx[v])):
+                return rest
+    return None

@@ -13,11 +13,16 @@ from linkident import (
     structural,
 )
 from linkident.certify import (
+    _degree_two_links,
+    _null_rank,
     _switch_seeds,
     _tree_seeds,
     certified_identifiable,
 )
+from linkident.linalg import IntegerEchelon
 from linkident.oracle import DEFAULT_PATH_CAP, _indexed_adjacency, _walk_paths
+
+from helpers import previous_certified_identifiable
 
 
 def monitored_instances():
@@ -54,20 +59,44 @@ def test_seeds_are_paths_and_the_ceiling_is_a_null_vector():
                 assert mask in paths, (g, eid)
         at1 = sum(1 << eid for _, eid in adj[s])
         at2 = sum(1 << eid for _, eid in adj[t])
+        pairs = list(_degree_two_links(adj, s, t))
         for mask in paths:
             assert (mask & at1).bit_count() == (mask & at2).bit_count()
+            for a, b in pairs:
+                assert mask >> a & 1 == mask >> b & 1, (g, a, b)
         checked += 1
     assert checked == 17072
 
 
+def test_null_rank_is_the_rank_of_the_certified_vectors():
+    for g in monitored_instances():
+        idx, adj = _indexed_adjacency(g)
+        s, t = idx[g.monitors[0]], idx[g.monitors[1]]
+        coef = {eid: 1 for _, eid in adj[s]}
+        coef.update((eid, -1) for _, eid in adj[t])
+        coef.pop(g.link_between(*g.monitors), None)
+        pairs = list(_degree_two_links(adj, s, t))
+        ech = IntegerEchelon(g.m)
+        for a, b in pairs:
+            row = [0] * g.m
+            row[a], row[b] = 1, -1
+            ech.add(row)
+        ech.add([coef.get(j, 0) for j in range(g.m)])
+        assert _null_rank(g.m, pairs, coef) == ech.rank, g
+
+
 def test_certified_sets_equal_the_oracle():
-    certified = 0
+    certified = previous = 0
     for g in monitored_instances():
         ident = certified_identifiable(g)
         if ident is not None:
             assert ident == identifiable_links_bruteforce(g), g
             certified += 1
-    assert certified >= 3000
+        if previous_certified_identifiable(g) is not None:
+            assert ident is not None, g
+            previous += 1
+    assert previous >= 3000
+    assert certified >= 9503
 
 
 def test_switch_paths_of_a_link_sum_to_twice_it():
@@ -107,7 +136,19 @@ def test_certified_verdicts_equal_enumerated_ones(monkeypatch):
     assert fast.fallback_blocks == slow.fallback_blocks
 
 
+def test_analyze_settles_a_long_cycle_without_enumerating(monkeypatch):
+    def enumerate_paths(*args, **kwargs):
+        raise AssertionError("the oracle enumerated paths")
+
+    monkeypatch.setattr(structural, "identifiable_links_bruteforce",
+                        enumerate_paths)
+    g = Graph(range(8), [(i, (i + 1) % 8) for i in range(8)])
+    report = analyze(g, monitors=(0, 1))
+    assert report.identifiable() == {g.link_between(0, 1)}
+
+
 @pytest.mark.parametrize("links", [[], [(0, 2), (1, 3)],
+                                   [(0, 2), (2, 4)],
                                    [(0, 2), (2, 4), (1, 3)]])
 def test_unjoined_monitors_fall_through(links):
     g = Graph(range(5), links, monitors=(0, 1))

@@ -68,9 +68,21 @@ def test_biconnected_graph_is_one_block():
     assert bct.cut_vertices == frozenset()
 
 
-def test_blocks_need_a_connected_graph():
-    with pytest.raises(Disconnected):
-        biconnected_components(Graph(range(4), [(0, 1), (2, 3)]))
+def test_blocks_need_a_connected_graph(monkeypatch):
+    # the DFS itself finds the missed nodes, with no search before it
+    monkeypatch.setattr(Graph, "is_connected", None)
+    for g in [Graph(range(4), [(0, 1), (2, 3)]),
+              Graph(range(4), [(0, 1), (1, 2), (0, 2)]),
+              Graph(range(2), [])]:
+        with pytest.raises(Disconnected):
+            biconnected_components(g)
+
+
+def test_a_single_node_has_no_blocks():
+    bct = biconnected_components(Graph([0], []))
+    assert bct.blocks == [] and bct.edges == ()
+    assert bct.cut_vertices == frozenset()
+    assert bct.blocks_of_node(0) == ()
 
 
 def test_block_links_partition_the_graph():

@@ -2,6 +2,7 @@
 agreement with the exact oracle on pinned instances."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -20,6 +21,7 @@ from linkident import (
     identifiable_links_bruteforce,
     random_biconnected,
 )
+from linkident import structural
 from linkident.structural import _Claims
 
 from helpers import bowtie_on_edge, path_graph, prism, triangle, \
@@ -322,6 +324,26 @@ def test_shared_structure_and_monitor_override():
     assert analyze(g, monitors=(0, 5), structure=st).to_json() == base
     with pytest.raises(ValueError):
         analyze(bowtie_on_edge().with_monitors(0, 1), structure=st)
+
+
+def test_a_shared_structure_asks_each_fan_question_once(monkeypatch):
+    asked = []
+    fan = structural.has_disjoint_fan
+
+    def counted(nodes, pairs, sources, targets):
+        asked.append((tuple(nodes), frozenset(sources), frozenset(targets)))
+        return fan(nodes, pairs, sources, targets)
+
+    g = random_biconnected(8, random.Random(1))
+    pairs = list(permutations(g.nodes, 2))
+    fresh = [analyze(g, monitors=pair).to_json() for pair in pairs]
+    monkeypatch.setattr(structural, "has_disjoint_fan", counted)
+    st = Structure(g)
+    shared = [analyze(g, monitors=pair, structure=st).to_json()
+              for pair in pairs]
+    assert shared == fresh
+    # both orders of a monitor pair ask the same questions
+    assert len(asked) == len(set(asked)) == 10
 
 
 def test_claims_keep_the_first_rule_and_reject_conflicts():
