@@ -23,7 +23,6 @@ from .connectivity import (
 from .decomposition import (
     Block,
     BlockCutTree,
-    NeighborSet,
     TriComponent,
     TriconnectedDecomposition,
     biconnected_components,
@@ -57,7 +56,6 @@ from .errors import (
     TooSmall,
     UnknownBlock,
     UnknownNode,
-    UnknownPair,
     WrongAgentCount,
 )
 from .generators import (
@@ -126,7 +124,6 @@ __all__ = [
     "MonitorsNotDistinct",
     "MonitorsUnset",
     "MultiGraph",
-    "NeighborSet",
     "NoPath",
     "NotBiconnected",
     "OracleResult",
@@ -142,7 +139,6 @@ __all__ = [
     "TriconnectedDecomposition",
     "UnknownBlock",
     "UnknownNode",
-    "UnknownPair",
     "WrongAgentCount",
     "analyze",
     "barbell",

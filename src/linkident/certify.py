@@ -198,7 +198,7 @@ def certified_identifiable(sub):
     certified_rank = _null_rank(sub.m, _degree_two_links(adj, s, t),
                                 ceiling)
     last = 0
-    support = set().union(*ech.null)
+    support = ech.to_reduced()
 
     def settles(mask):
         """Feed one path; True once the echelon's nullspace is exact."""
@@ -210,7 +210,7 @@ def certified_identifiable(sub):
             row[low.bit_length() - 1] ^= 1
             flips ^= low
         if ech.add(row):
-            support = set().union(*ech.null)
+            support = ech.to_reduced()
         return len(ech.null) == certified_rank or support <= ceiling.keys()
 
     # the switch paths span more than their unit rows, so they follow

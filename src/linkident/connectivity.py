@@ -140,8 +140,7 @@ def interior_identifiability_predicate(g):
                  if pair[0] in lobe or pair[1] in lobe}
         interior = sum(1 << eid for eid, (u, v) in links.items()
                        if u in lobe and v in lobe)
-        aug = MultiGraph(lobe | {m1, m2}, {**links, vid: (m1, m2)},
-                         virtual=(vid,))
+        aug = MultiGraph(lobe | {m1, m2}, {**links, vid: (m1, m2)})
         if not k_vertex_connected(aug, 3):
             return False
         if _once_crossed_cut_hits_interior(links, interior, m1, m2, lobe):

@@ -18,6 +18,11 @@ at a fraction of the code.
 Within a decomposition, real links keep their input ids and virtual
 link ids continue past the largest real id. Every virtual id appears
 in exactly two components with the same endpoints.
+
+A real link parallel to a split pair sits in the one bond at that
+pair, and it is the block's own link between the pair's two nodes, so
+callers read it from their graph (Graph.link_between) rather than
+from the decomposition.
 """
 
 from __future__ import annotations
@@ -32,11 +37,9 @@ from .errors import (
     NotBiconnected,
     TooSmall,
     UnknownBlock,
-    UnknownPair,
 )
 from .graph import (
     Graph,
-    MultiGraph,
     link_adjacency,
     lowpoint,
     node_adjacency,
@@ -205,10 +208,13 @@ def _find_split_pair(links, nodes, start):
     qualifies only if removing both leaves two or more components (so
     b cuts the piece without a) or leaves one component and a, b are
     joined by two or more parallel links. Each a therefore needs one
-    lowpoint pass without a plus its parallel links, and the first candidate
-    that qualifies is the first qualifying pair of all. On three or
-    more nodes every candidate qualifies, since only a direct link
-    can form a one-link class there, so a search makes at most one
+    lowpoint pass without a plus its parallel links. A split piece has
+    three or more nodes, and there every candidate qualifies: each
+    component class holds a link into a and one into b, so only a
+    direct link can form a one-link class, and a candidate has either
+    two component classes or two direct links beside a component
+    class. The smallest candidate above the first a that has one is
+    the first qualifying pair of all, so a search makes at most one
     pass per node from start on and one _separation_classes call:
     O(n*(n+m)).
     """
@@ -217,14 +223,10 @@ def _find_split_pair(links, nodes, start):
         direct = Counter(w for w, _ in adj[a])
         candidates = lowpoint(adj, a)[1]
         candidates.update(w for w, k in direct.items() if k >= 2)
-        for b in sorted(w for w in candidates if w > a):
-            classes = _separation_classes(links, a, b)
-            if len(classes) < 2:
-                continue
-            if len(classes) == 2 and (len(classes[0]) == 1
-                                      or len(classes[1]) == 1):
-                continue
-            return (a, b), classes
+        above = [w for w in candidates if w > a]
+        if above:
+            b = min(above)
+            return (a, b), _separation_classes(links, a, b)
     return None, None
 
 
@@ -305,39 +307,19 @@ def _merge_same_kind(comps, vpairs):
 
 @dataclass(frozen=True)
 class TriComponent:
-    """One triconnected component of a block."""
+    """One triconnected component of a block: its sorted nodes, its
+    links (id -> (u, v), u < v, real and virtual) and the ids of its
+    virtual links."""
 
     cid: int
     kind: str
-    graph: MultiGraph
-
-    @property
-    def links(self):
-        return self.graph.links
-
-    @property
-    def virtuals(self):
-        return self.graph.virtual
-
-    @property
-    def nodes(self):
-        return self.graph.nodes
+    nodes: tuple
+    links: dict = field(hash=False)
+    virtuals: frozenset
 
     def real_links(self):
-        return self.graph.real_links()
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Components attached at a separation pair, seen from one side.
-
-    components lists the non-bond components reachable at the pair
-    (expanding through a bond when one sits there); real_link is the
-    id of a real link joining the pair in parallel, if any.
-    """
-
-    components: tuple
-    real_link: int | None
+        return {eid: pair for eid, pair in self.links.items()
+                if eid not in self.virtuals}
 
 
 @dataclass
@@ -380,39 +362,6 @@ class TriconnectedDecomposition:
                            for vid, pair in sorted(self.pair_nodes.items())},
         }
 
-    def neighboring_components(self, cid, pair):
-        """Who else is attached at this separation pair of cid.
-
-        Expands through a bond: the bond itself is never listed, its
-        other attachments are, and a real link it carries is reported
-        as real_link. Raises UnknownPair when the pair carries no
-        virtual link of cid.
-        """
-        comp = self.component(cid)
-        a, b = pair
-        key = (a, b) if a < b else (b, a)
-        vids = [vid for vid in comp.virtuals
-                if self.pair_nodes[vid] == key]
-        if not vids:
-            raise UnknownPair(f"{key} is not a split pair of component"
-                              f" {cid}")
-        found = set()
-        real = None
-        for vid in vids:
-            other = self.component(self.partner(cid, vid))
-            if other.kind == BOND:
-                for eid in other.links:
-                    if eid == vid:
-                        continue
-                    if eid in self.pair_nodes:
-                        found.add(self.partner(other.cid, eid))
-                    else:
-                        real = eid
-            else:
-                found.add(other.cid)
-        found.discard(cid)
-        return NeighborSet(components=tuple(sorted(found)), real_link=real)
-
 
 def decompose_links(block_links):
     """Canonical decomposition of a biconnected link dict (id -> pair).
@@ -449,8 +398,9 @@ def decompose_links(block_links):
     split_pairs = {}
     for cid, (links, kind) in enumerate(comps):
         virtual = frozenset(eid for eid in links if eid in vpairs)
-        mg = MultiGraph(_endpoints(links), links, virtual=virtual)
-        components.append(TriComponent(cid=cid, kind=kind, graph=mg))
+        components.append(TriComponent(
+            cid=cid, kind=kind, nodes=tuple(sorted(_endpoints(links))),
+            links=links, virtuals=virtual))
         for vid in virtual:
             pairing.setdefault(vid, []).append(cid)
         split_pairs[cid] = sorted({vpairs[vid] for vid in virtual})

@@ -62,10 +62,6 @@ class BrokenPairing(DecompositionError):
     appear in exactly two components)."""
 
 
-class UnknownPair(DecompositionError):
-    """The queried node pair is not a separation pair of the block."""
-
-
 class UnknownBlock(DecompositionError):
     """A block id does not belong to this decomposition."""
 

@@ -351,20 +351,20 @@ class Graph:
 
 
 class MultiGraph:
-    """Graph that allows parallel links, each tagged real or virtual.
+    """Graph that allows parallel links, keeping the caller's link ids.
 
-    Virtual links are bookkeeping artifacts of the decomposition
-    machinery (and of the predicate's bypass link); input graphs are always
-    simple. This class is deliberately loose: no adjacency cache, no
-    strict validation, just the fields the structural algorithms need.
+    The interior predicate builds one per lobe, with a bypass link
+    parallel to any direct monitor link; input graphs are always
+    simple. This class is deliberately loose and mutable: no adjacency
+    cache, no strict validation, just the fields the path walk and the
+    connectivity tests read.
     """
 
-    __slots__ = ("nodes", "links", "virtual")
+    __slots__ = ("nodes", "links")
 
-    def __init__(self, nodes, links, virtual=()):
+    def __init__(self, nodes, links):
         self.nodes = tuple(sorted(nodes))
         self.links = {eid: _normalize(u, v) for eid, (u, v) in dict(links).items()}
-        self.virtual = frozenset(virtual)
 
     @property
     def n(self):
@@ -374,10 +374,5 @@ class MultiGraph:
     def m(self):
         return len(self.links)
 
-    def real_links(self):
-        return {eid: pair for eid, pair in self.links.items()
-                if eid not in self.virtual}
-
     def __repr__(self):
-        return (f"MultiGraph(n={self.n}, m={self.m}, "
-                f"virtual={sorted(self.virtual)})")
+        return f"MultiGraph(n={self.n}, m={self.m})"

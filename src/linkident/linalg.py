@@ -183,13 +183,15 @@ class IntegerEchelon:
     # -- reduced form ---------------------------------------------------
 
     def to_reduced(self):
-        """Collect the columns some nullspace vector touches.
+        """Collect and return the columns some nullspace vector touches.
 
         e_col is in the row space exactly when no vector touches col.
         unit_in_span calls it when no set is cached: before the first
-        query and after each row that raises the rank.
+        query and after each row that raises the rank. The set is the
+        cache itself, so callers must not change it.
         """
         self._support = set().union(*self.null)
+        return self._support
 
     def unit_value(self, col):
         """Value forced onto coordinate col by the carried system.

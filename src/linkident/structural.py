@@ -13,7 +13,9 @@ block:
     component is classified by where the agents sit relative to it.
     The classification dictates the verdict of every link in the
     component, plus any parallel real link it adopts from a bond at
-    one of its split pairs.
+    one of its split pairs. That link is the graph's own link between
+    the pair's two nodes, so the engine asks the graph for it
+    (Graph.link_between); the decomposition only supplies the pairs.
 
 Four shapes cover rigid components and triangles, and the shapes are
 exhaustive: an agent outside a component is beyond exactly one of its
@@ -374,24 +376,24 @@ class _Claims:
         return eid in self.verdicts
 
 
-def _spoken_links(d, comp, direct):
+def _spoken_links(g, d, comp, direct):
     """(id, endpoints) of the real links comp speaks for: its own in id
     order, then the real link parallel at each of its split pairs (it
-    lives in the bond there). The direct agent link is marked apart and
-    left out."""
+    lives in the bond there, and is g's own link between the pair's
+    nodes). The direct agent link is marked apart and left out."""
     out = [(eid, pair) for eid, pair in sorted(comp.links.items())
            if eid not in comp.virtuals and eid != direct]
     for pair in d.split_pairs[comp.cid]:
-        eid = d.neighboring_components(comp.cid, pair).real_link
+        eid = g.link_between(*pair)
         if eid is not None and eid != direct:
             out.append((eid, pair))
     return out
 
 
-def _mark(d, comp, cls, agents, direct, claims, deferred):
+def _mark(g, d, comp, cls, agents, direct, claims, deferred):
     """Claim every link comp speaks for by its category's rule."""
     cat = cls.category
-    links = _spoken_links(d, comp, direct)
+    links = _spoken_links(g, d, comp, direct)
     if cat is Category.INNER_AGENT:
         m = cls.inner_agent
         for eid, (u, v) in links:
@@ -471,7 +473,7 @@ def _analyze_block(st, block, agents, monitors, path_cap, claims,
 
     deferred = set()
     for comp, cls in classified:
-        _mark(d, comp, cls, agents, direct, claims, deferred)
+        _mark(st.g, d, comp, cls, agents, direct, claims, deferred)
 
     unresolved = sorted(eid for eid in deferred if eid not in claims)
     if unresolved:
@@ -495,7 +497,7 @@ def analyze(g, monitors=None, path_cap=DEFAULT_PATH_CAP, structure=None):
     m1, m2 = g.require_monitors()
     if structure is None:
         structure = Structure(g)
-    elif structure.g.links != g.links:
+    elif structure.g.nodes != g.nodes or structure.g.links != g.links:
         raise ValueError("structure was built for a different graph")
     claims = _Claims()
     categories = {}

@@ -13,7 +13,6 @@ from linkident import (
     NotBiconnected,
     TooSmall,
     UnknownBlock,
-    UnknownPair,
     biconnected_components,
     decompose_links,
     enumerate_all_connected_graphs,
@@ -164,23 +163,11 @@ def test_component_accessors():
     assert c1.virtuals == frozenset({5})
     assert c1.nodes == (0, 1, 2)
     assert sorted(c1.real_links()) == [1, 2]
+    assert hash(c1) == hash(tri.component(1))
     assert tri.partner(0, 5) == 1
     assert tri.partner(1, 5) == 0
     with pytest.raises(UnknownBlock):
         tri.component(9)
-
-
-def test_neighboring_components_expands_through_the_bond():
-    tri = triconnected_components(bowtie_on_edge())
-    ns = tri.neighboring_components(1, (0, 1))
-    assert ns.components == (2,)
-    assert ns.real_link == 0
-    assert tri.neighboring_components(1, (1, 0)) == ns
-
-
-def test_neighboring_components_rejects_non_split_pairs():
-    with pytest.raises(UnknownPair):
-        triconnected_components(k4()).neighboring_components(0, (0, 2))
 
 
 def test_requires_biconnected_input():

@@ -165,11 +165,12 @@ def test_is_connected():
 
 
 def test_multigraph_parallel_links_and_virtual_bookkeeping():
-    mg = MultiGraph([0, 1, 2], {0: (0, 1), 1: (1, 0), 2: (1, 2)},
-                    virtual=(1,))
+    # a bypass link (id 7) parallel to link 0 keeps its own id, the way
+    # the interior predicate adds one past the graph's largest link id
+    mg = MultiGraph([2, 0, 1], {0: (0, 1), 2: (2, 1), 7: (1, 0)})
     assert mg.m == 3 and mg.n == 3
-    assert mg.links[1] == (0, 1)
-    assert mg.real_links() == {0: (0, 1), 2: (1, 2)}
+    assert mg.nodes == (0, 1, 2)
+    assert mg.links == {0: (0, 1), 2: (1, 2), 7: (0, 1)}
 
 
 def lowpoint_by_deletion(nodes, links, removed):

@@ -9,6 +9,7 @@ import pytest
 from linkident import (
     ALL_RULES,
     Category,
+    Disconnected,
     Graph,
     Structure,
     WrongAgentCount,
@@ -286,17 +287,34 @@ def test_an_outside_node_is_beyond_exactly_one_split_pair():
                 assert len(beyond) == 1, (block, comp.cid, v)
 
 
+def test_a_split_pairs_parallel_link_lives_in_the_bond_there():
+    """The engine reads the real link parallel to a split pair from the
+    graph: it must be a real link of the bond across that pair."""
+    for st, d, block in _split_blocks():
+        for comp in d.components:
+            if comp.kind == "bond":
+                continue
+            for pair in d.split_pairs[comp.cid]:
+                (vid,) = [v for v in comp.virtuals
+                          if d.pair_nodes[v] == pair]
+                eid = st.g.link_between(*pair)
+                if eid is None:
+                    continue
+                across = d.component(d.partner(comp.cid, vid))
+                assert across.kind == "bond", (block, comp.cid, pair)
+                assert eid in across.real_links(), (block, comp.cid, pair)
+
+
 def test_a_triangle_has_a_second_way_through_every_split_pair():
     for _, d, block in _split_blocks():
         for comp in d.components:
             if comp.kind != "polygon" or len(comp.nodes) != 3:
                 continue
-            for pair in d.split_pairs[comp.cid]:
-                ns = d.neighboring_components(comp.cid, pair)
-                assert (ns.real_link is not None
-                        or len(ns.components) >= 2
-                        or any(d.component(c).kind == "rigid"
-                               for c in ns.components)), (block, pair)
+            for vid in comp.virtuals:
+                across = d.component(d.partner(comp.cid, vid))
+                assert (across.kind == "rigid"
+                        or across.kind == "bond"
+                        and len(across.links) >= 3), (block, vid)
 
 
 def test_a_rigid_component_has_no_parallel_links():
@@ -324,6 +342,17 @@ def test_shared_structure_and_monitor_override():
     assert analyze(g, monitors=(0, 5), structure=st).to_json() == base
     with pytest.raises(ValueError):
         analyze(bowtie_on_edge().with_monitors(0, 1), structure=st)
+
+
+def test_a_structure_built_for_other_nodes_is_rejected():
+    tri = triangle()
+    g = Graph(range(4), [tri.links[eid] for eid in sorted(tri.links)],
+              monitors=(0, 1))
+    assert g.links == tri.links
+    with pytest.raises(Disconnected):
+        analyze(g)
+    with pytest.raises(ValueError):
+        analyze(g, structure=Structure(tri))
 
 
 def test_a_shared_structure_asks_each_fan_question_once(monkeypatch):
