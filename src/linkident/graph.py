@@ -365,14 +365,3 @@ class MultiGraph:
     def __init__(self, nodes, links):
         self.nodes = tuple(sorted(nodes))
         self.links = {eid: _normalize(u, v) for eid, (u, v) in dict(links).items()}
-
-    @property
-    def n(self):
-        return len(self.nodes)
-
-    @property
-    def m(self):
-        return len(self.links)
-
-    def __repr__(self):
-        return f"MultiGraph(n={self.n}, m={self.m})"

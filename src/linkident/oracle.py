@@ -80,14 +80,13 @@ def _walk_paths(g, m1, m2, cap, visit):
     return count
 
 
-def enumerate_simple_paths(g, m1=None, m2=None, cap=DEFAULT_PATH_CAP):
+def enumerate_simple_paths(g, cap=DEFAULT_PATH_CAP):
     """All simple paths between the monitors, as node tuples.
 
     Deterministic lexicographic order. With exactly two monitors a
     simple path can never pass through a monitor in transit.
     """
-    if m1 is None or m2 is None:
-        m1, m2 = g.require_monitors()
+    m1, m2 = g.require_monitors()
     nodes = g.nodes
     out = []
 
@@ -140,19 +139,21 @@ def build_measurement_matrix(paths, g):
                              ncols=m)
 
 
-def _feed_echelon(g, m1, m2, cap, carry_rhs=False):
-    """Stream every path row into an echelon.
+def _feed_echelon(g, cap, carry_rhs=False):
+    """Stream every path row between g's monitors into an echelon.
 
-    Returns (echelon, path count, denominator). A stop at full column
-    rank would never save a path: 1_star(m1) - 1_star(m2) is orthogonal
-    to every path row, so full rank forces every link at a monitor to
-    be the direct link, which is then the only path. Every path is fed
+    Returns (echelon, path count, denominator); raises NoPath when no
+    simple path joins the monitors m1, m2. A stop at full column rank
+    would never save a path: 1_star(m1) - 1_star(m2) is orthogonal to
+    every path row, so full rank forces every link at a monitor to be
+    the direct link, which is then the only path. Every path is fed
     as the same live 0/1 list, which add does not keep, with only the
     links where the path differs from the one before flipped. With
     carry_rhs each right-hand side is the path's integer sum of the
     metrics times their common denominator, so the echelon's values are
     the true ones times that denominator.
     """
+    m1, m2 = g.require_monitors()
     m = g.m
     ech = IntegerEchelon(m, carry_rhs=carry_rhs)
     add = ech.add
@@ -183,23 +184,19 @@ def _feed_echelon(g, m1, m2, cap, carry_rhs=False):
         add(row, total)
 
     count = _walk_paths(g, m1, m2, cap, visit)
+    if count == 0:
+        raise NoPath(f"no simple path joins {m1} and {m2}")
     return ech, count, den
 
 
-def identifiable_links_bruteforce(g, monitors=None,
-                                  path_cap=DEFAULT_PATH_CAP):
+def identifiable_links_bruteforce(g, path_cap=DEFAULT_PATH_CAP):
     """Set of link ids whose metric the full path set pins down.
 
     The exact row-space membership test: link l is identifiable iff
     e_l lies in the span of the path incidence rows. Raises NoPath
     when the monitors have no connecting path at all.
     """
-    if monitors is None:
-        monitors = g.require_monitors()
-    m1, m2 = monitors
-    ech, count, _ = _feed_echelon(g, m1, m2, path_cap)
-    if count == 0:
-        raise NoPath(f"no simple path joins {m1} and {m2}")
+    ech, _, _ = _feed_echelon(g, path_cap)
     return {j for j in range(g.m) if ech.unit_in_span(j)}
 
 
@@ -213,18 +210,13 @@ class OracleResult:
     values: dict | None     # link id -> Fraction, when metrics known
 
 
-def oracle_analysis(g, monitors=None, path_cap=DEFAULT_PATH_CAP):
+def oracle_analysis(g, path_cap=DEFAULT_PATH_CAP):
     """Oracle verdicts plus exact path count, rank, and values.
 
     path_count and rank describe the complete measurement system.
     """
-    if monitors is None:
-        monitors = g.require_monitors()
-    m1, m2 = monitors
     carry = g.metrics is not None
-    ech, count, den = _feed_echelon(g, m1, m2, path_cap, carry_rhs=carry)
-    if count == 0:
-        raise NoPath(f"no simple path joins {m1} and {m2}")
+    ech, count, den = _feed_echelon(g, path_cap, carry_rhs=carry)
     ident = {j for j in range(g.m) if ech.unit_in_span(j)}
     values = None
     if carry:
@@ -277,10 +269,7 @@ def verify_metric_recovery(g, path_cap=DEFAULT_PATH_CAP):
     """
     if g.metrics is None:
         raise GraphError("metric recovery needs metrics on the graph")
-    m1, m2 = g.require_monitors()
-    ech, count, den = _feed_echelon(g, m1, m2, path_cap, carry_rhs=True)
-    if count == 0:
-        raise NoPath(f"no simple path joins {m1} and {m2}")
+    ech, _, den = _feed_echelon(g, path_cap, carry_rhs=True)
     m = g.m
     truth = [g.metrics[i] for i in range(m)]
     recovered = {}

@@ -45,7 +45,8 @@ from enum import Enum
 
 from .agents import locate_agents
 from .certify import certified_identifiable
-from .connectivity import has_disjoint_fan
+# unused here; perfbench/spans.py wraps structural.has_disjoint_fan
+from .connectivity import has_disjoint_fan  # noqa: F401
 from .decomposition import (
     BOND,
     POLYGON,
@@ -111,7 +112,7 @@ class Structure:
 
     Caches the block-cut tree, per-block triconnected decompositions,
     far-side node sets per virtual link, per-block oracle runs and
-    disjoint-fan answers, so that repeated analyses of the same
+    rigid-component checks, so that repeated analyses of the same
     topology under different monitor placements share all the heavy
     work. Monitors on the held graph are ignored; analyze() accepts a
     Structure built from any graph with identical nodes and links.
@@ -124,7 +125,6 @@ class Structure:
         self._far = {}
         self._block_oracle = {}
         self._pair_ok = {}
-        self._fan = {}
 
     def tri(self, bid):
         """Triconnected decomposition of a block, by block id.
@@ -188,18 +188,6 @@ class Structure:
                 if u != x and u != y and v != x and v != y)
         return self._pair_ok[key]
 
-    def disjoint_fan(self, bid, agents, pair):
-        """Two fully vertex-disjoint paths in the block from the two
-        agents onto the two pair nodes? The answer is cached per block,
-        agent set and pair, so both orders of a monitor pair share it."""
-        key = (bid, tuple(sorted(agents)), tuple(sorted(pair)))
-        if key not in self._fan:
-            block = self.bct.block(bid)
-            self._fan[key] = has_disjoint_fan(
-                block.nodes, [self.g.links[eid] for eid in block.links],
-                set(key[1]), set(key[2]))
-        return self._fan[key]
-
 
 def _identifiable(nodes, links, monitors, path_cap):
     """Exact identifiable ids among links (id -> pair) measured between
@@ -243,7 +231,10 @@ def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
          otherwise the agent is interior;
       0: both agents hide beyond split pairs; the same pair for both
          makes that pair effective, two different pairs make the
-         component a crossing (transit) piece.
+         component a crossing (transit) piece. A shared pair needs no
+         check that the agents reach it by disjoint routes: in a
+         2-connected block no single node separates two 2-sets
+         (Menger), so those routes always exist.
 
     The cases are exhaustive because an agent outside the component is
     beyond exactly one split pair: the components holding a node form a
@@ -259,9 +250,7 @@ def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
     category: being three-connected does not by itself make all links
     away from the pair identifiable (the triangular prism measured
     across a rung is the smallest counterexample), and a component
-    that fails the check falls back rather than over-promise. A shared
-    pair without two disjoint routes from the agents onto it falls
-    back too.
+    that fails the check falls back rather than over-promise.
     """
     distinct = _require_two_agents(agents)
     comp = st.tri(bid).component(cid)
@@ -293,8 +282,6 @@ def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
     p1 = _pair_beyond(st, bid, comp, a1)
     p2 = _pair_beyond(st, bid, comp, a2)
     if p1 == p2:
-        if not st.disjoint_fan(bid, distinct, p1):
-            return Classification(category=Category.FALLBACK)
         return agent_pair(p1)
     det = tuple(sorted((p1, p2)))
     if comp.kind == RIGID:
@@ -485,15 +472,12 @@ def _analyze_block(st, block, agents, monitors, path_cap, claims,
     assert not missing, f"links {missing} of block {block.bid} unmarked"
 
 
-def analyze(g, monitors=None, path_cap=DEFAULT_PATH_CAP, structure=None):
+def analyze(g, path_cap=DEFAULT_PATH_CAP, structure=None):
     """Structural identifiability verdict for every link of g.
 
-    monitors overrides the pair stored on the graph. structure may be
-    a Structure built from a graph with the same nodes and links, to
-    share decomposition work across monitor placements.
+    structure may be a Structure built from a graph with the same nodes
+    and links, to share decomposition work across monitor placements.
     """
-    if monitors is not None:
-        g = g.with_monitors(*monitors)
     m1, m2 = g.require_monitors()
     if structure is None:
         structure = Structure(g)

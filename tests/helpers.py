@@ -419,8 +419,7 @@ def reference_recovery(g):
     """(recovered, witnesses, exact) as verify_metric_recovery defines
     them, from the Fraction path sums of build_measurement_matrix fed
     into ReferenceEchelon, with every witness built densely."""
-    m1, m2 = g.require_monitors()
-    system = build_measurement_matrix(enumerate_simple_paths(g, m1, m2), g)
+    system = build_measurement_matrix(enumerate_simple_paths(g), g)
     ref = ReferenceEchelon(g.m, carry_rhs=True)
     for row, rhs in zip(system.matrix, system.rhs):
         ref.add(row, rhs)

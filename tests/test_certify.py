@@ -121,17 +121,17 @@ def test_switch_paths_of_a_link_sum_to_twice_it():
 
 def test_analyze_settles_random_biconnected_20():
     g = random_biconnected(20, random.Random(1))
-    report = analyze(g, monitors=(g.nodes[0], g.nodes[-1]))
+    report = analyze(g.with_monitors(g.nodes[0], g.nodes[-1]))
     assert len(report.verdicts) == g.m
 
 
 def test_certified_verdicts_equal_enumerated_ones(monkeypatch):
     g = random_biconnected(16, random.Random(1))
-    monitors = (g.nodes[0], g.nodes[-1])
-    fast = analyze(g, monitors=monitors)
+    g = g.with_monitors(g.nodes[0], g.nodes[-1])
+    fast = analyze(g)
     monkeypatch.setattr(structural, "certified_identifiable",
                         lambda sub: None)
-    slow = analyze(g, monitors=monitors)
+    slow = analyze(g)
     assert fast.to_json() == slow.to_json()
     assert fast.fallback_blocks == slow.fallback_blocks
 
@@ -142,8 +142,9 @@ def test_analyze_settles_a_long_cycle_without_enumerating(monkeypatch):
 
     monkeypatch.setattr(structural, "identifiable_links_bruteforce",
                         enumerate_paths)
-    g = Graph(range(8), [(i, (i + 1) % 8) for i in range(8)])
-    report = analyze(g, monitors=(0, 1))
+    g = Graph(range(8), [(i, (i + 1) % 8) for i in range(8)],
+              monitors=(0, 1))
+    report = analyze(g)
     assert report.identifiable() == {g.link_between(0, 1)}
 
 

@@ -245,8 +245,9 @@ def test_matches_reference_on_every_small_path_matrix():
                                               rng.randint(1, 9))
                                 for eid in g.links})
             for m1, m2 in permutations(g.nodes, 2):
-                paths = enumerate_simple_paths(g, m1, m2)
-                system = build_measurement_matrix(paths, g)
+                inst = g.with_monitors(m1, m2)
+                system = build_measurement_matrix(
+                    enumerate_simple_paths(inst), inst)
                 assert_same_as_reference(g.m, system.matrix, system.rhs)
                 systems += 1
     assert systems == 2 + 6 * 4 + 12 * 38 + 20 * 728
@@ -256,9 +257,8 @@ def test_redundant_paths_cost_no_elimination(monkeypatch):
     """Every corner-to-corner path of the 5x5 grid: a row already in
     the span is settled by dot products alone, so the vector squeezes
     (one per elimination) stay within ncols**2 over all 8,512 rows."""
-    g = grid(5, 5)
-    rows = build_measurement_matrix(enumerate_simple_paths(g, 0, 24),
-                                    g).matrix
+    g = grid(5, 5).with_monitors(0, 24)
+    rows = build_measurement_matrix(enumerate_simple_paths(g), g).matrix
     assert (len(rows), g.m) == (8512, 40)
     calls = 0
     squeeze = linalg._squeeze

@@ -48,7 +48,7 @@ def test_paths_k4_any_pair_gives_five():
     for m1 in range(4):
         for m2 in range(4):
             if m1 != m2:
-                paths = enumerate_simple_paths(g, m1, m2)
+                paths = enumerate_simple_paths(g.with_monitors(m1, m2))
                 assert len(paths) == 5
                 assert paths == sorted(paths)
                 for p in paths:
@@ -103,12 +103,6 @@ def test_bruteforce_no_path_is_an_error():
         identifiable_links_bruteforce(g)
     with pytest.raises(NoPath):
         oracle_analysis(g)
-
-
-def test_bruteforce_monitor_override():
-    got = identifiable_links_bruteforce(triangle(monitors=None),
-                                        monitors=(0, 1))
-    assert got == {0}
 
 
 def test_oracle_analysis_reports_counts_and_rank():

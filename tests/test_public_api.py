@@ -1,9 +1,9 @@
 """Every public name is used by the library itself or documented.
 
 A name in linkident.__all__ passes when some module of the package
-other than __init__.py reads it (a Name or Attribute load, or an
-import), not counting reads inside the name's own definition, or when
-README.md names it.
+other than __init__.py loads it (as a Name or an Attribute), not
+counting loads inside the name's own definition, or when README.md
+names it. An import alone is not a use.
 """
 
 import ast
@@ -30,7 +30,7 @@ def _defined_by(stmt):
 
 
 def _reads(stmt):
-    """Names a statement loads or imports."""
+    """Names a statement loads."""
     out = set()
     for node in ast.walk(stmt):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -38,8 +38,6 @@ def _reads(stmt):
         elif (isinstance(node, ast.Attribute)
               and isinstance(node.ctx, ast.Load)):
             out.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            out.update(a.name.rsplit(".", 1)[-1] for a in node.names)
     return out
 
 

@@ -2,7 +2,7 @@
 agreement with the exact oracle on pinned instances."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -19,6 +19,7 @@ from linkident import (
     enumerate_all_connected_graphs,
     gnp_connected,
     grid,
+    has_disjoint_fan,
     identifiable_links_bruteforce,
     random_biconnected,
 )
@@ -317,6 +318,23 @@ def test_a_triangle_has_a_second_way_through_every_split_pair():
                         and len(across.links) >= 3), (block, vid)
 
 
+def test_two_nodes_beyond_a_split_pair_reach_it_disjointly():
+    """Why a shared pair needs no fan check: in a 2-connected block no
+    single node separates two 2-sets (Menger), so two agents beyond
+    one split pair always have disjoint paths onto it."""
+    for st, d, block in _split_blocks():
+        links = [st.g.links[eid] for eid in block.links]
+        for comp in d.components:
+            if comp.kind == "bond":
+                continue
+            for vid in comp.virtuals:
+                far = sorted(st.far_nodes(block.bid, comp.cid, vid))
+                for agents in combinations(far, 2):
+                    assert has_disjoint_fan(block.nodes, links, agents,
+                                            d.pair_nodes[vid]), \
+                        (block, comp.cid, vid, agents)
+
+
 def test_a_rigid_component_has_no_parallel_links():
     for _, d, block in _split_blocks():
         for comp in d.components:
@@ -334,12 +352,11 @@ def test_monitor_order_does_not_matter():
         analyze(g.with_monitors(5, 0)).to_json()
 
 
-def test_shared_structure_and_monitor_override():
+def test_a_shared_structure_gives_the_same_report():
     g = prism()
     st = Structure(g)
     base = analyze(g.with_monitors(0, 5)).to_json()
     assert analyze(g.with_monitors(0, 5), structure=st).to_json() == base
-    assert analyze(g, monitors=(0, 5), structure=st).to_json() == base
     with pytest.raises(ValueError):
         analyze(bowtie_on_edge().with_monitors(0, 1), structure=st)
 
@@ -355,24 +372,18 @@ def test_a_structure_built_for_other_nodes_is_rejected():
         analyze(g, structure=Structure(tri))
 
 
-def test_a_shared_structure_asks_each_fan_question_once(monkeypatch):
-    asked = []
-    fan = structural.has_disjoint_fan
+def test_analyze_asks_no_fan_question(monkeypatch):
+    def fan(*args):
+        raise AssertionError("analyze asked for a disjoint fan")
 
-    def counted(nodes, pairs, sources, targets):
-        asked.append((tuple(nodes), frozenset(sources), frozenset(targets)))
-        return fan(nodes, pairs, sources, targets)
-
+    monkeypatch.setattr(structural, "has_disjoint_fan", fan)
     g = random_biconnected(8, random.Random(1))
-    pairs = list(permutations(g.nodes, 2))
-    fresh = [analyze(g, monitors=pair).to_json() for pair in pairs]
-    monkeypatch.setattr(structural, "has_disjoint_fan", counted)
+    instances = [g.with_monitors(*pair)
+                 for pair in permutations(g.nodes, 2)]
     st = Structure(g)
-    shared = [analyze(g, monitors=pair, structure=st).to_json()
-              for pair in pairs]
+    fresh = [analyze(inst).to_json() for inst in instances]
+    shared = [analyze(inst, structure=st).to_json() for inst in instances]
     assert shared == fresh
-    # both orders of a monitor pair ask the same questions
-    assert len(asked) == len(set(asked)) == 10
 
 
 def test_claims_keep_the_first_rule_and_reject_conflicts():
