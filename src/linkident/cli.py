@@ -53,7 +53,19 @@ def _node_range(text):
         hi = int(parts[-1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an int range: {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range: {lo} > {hi}")
     return lo, hi
+
+
+def _path_cap(text):
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an int: {text!r}")
+    if cap <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {cap}")
+    return cap
 
 
 def _load_graph(path, monitors):
@@ -187,7 +199,7 @@ def _add_sweep_flags(p):
     p.add_argument("--monitor-policy", default="sampled",
                    choices=["sampled", "all-pairs"])
     p.add_argument("--edge-prob", type=float, default=0.5)
-    p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    p.add_argument("--path-cap", type=_path_cap, default=DEFAULT_PATH_CAP)
 
 
 def build_parser():
@@ -200,12 +212,12 @@ def build_parser():
     _add_input_flags(p)
     p.add_argument("--dot", default=None, metavar="FILE",
                    help="also write a verdict-colored DOT file")
-    p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    p.add_argument("--path-cap", type=_path_cap, default=DEFAULT_PATH_CAP)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("oracle", help="exact verdicts from path algebra")
     _add_input_flags(p)
-    p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    p.add_argument("--path-cap", type=_path_cap, default=DEFAULT_PATH_CAP)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("diff", help="randomized structural-vs-oracle sweep")
@@ -222,7 +234,7 @@ def build_parser():
     p = sub.add_parser("exhaustive",
                        help="both engines on every connected graph up to N")
     p.add_argument("--nodes", type=_node_range, default=(6, 6), metavar="N")
-    p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    p.add_argument("--path-cap", type=_path_cap, default=DEFAULT_PATH_CAP)
     p.add_argument("--jsonl", default=None, metavar="FILE")
     p.set_defaults(func=_cmd_exhaustive)
 

@@ -193,15 +193,16 @@ class IntegerEchelon:
         self._support = set().union(*self.null)
         return self._support
 
-    def unit_value(self, col):
-        """Value forced onto coordinate col by the carried system.
+    def unit_value(self, col, scale=1):
+        """Value forced onto coordinate col by the carried system,
+        divided by scale, as one Fraction.
 
         Only meaningful when unit_in_span(col) holds and right-hand
         sides were carried.
         """
         if self.inconsistent:
             raise InconsistentSystem("system has no exact solution")
-        return Fraction(self.num[col], self.den)
+        return Fraction(self.num[col], self.den * scale)
 
     def particular_solution(self):
         """One exact solution of the carried system (free coords 0)."""

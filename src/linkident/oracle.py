@@ -15,8 +15,10 @@ M over the rationals. This module enumerates the full path universe
 The walk feeds the echelon one live 0/1 row, updated in place on the
 links where each path differs from the one before it. Path sums are
 plain integers: the metrics are scaled once to integers over their
-common denominator, and recovered values are divided by it at the end.
-No floating point is used anywhere.
+common denominator D. Each recovered value is one Fraction over the
+echelon's denominator times D. Each witness is read off one of the
+echelon's integer nullspace vectors, with one Fraction per entry it
+moves. No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -142,16 +144,18 @@ def build_measurement_matrix(paths, g):
 def _feed_echelon(g, cap, carry_rhs=False):
     """Stream every path row between g's monitors into an echelon.
 
-    Returns (echelon, path count, denominator); raises NoPath when no
-    simple path joins the monitors m1, m2. A stop at full column rank
-    would never save a path: 1_star(m1) - 1_star(m2) is orthogonal to
-    every path row, so full rank forces every link at a monitor to be
-    the direct link, which is then the only path. Every path is fed
-    as the same live 0/1 list, which add does not keep, with only the
-    links where the path differs from the one before flipped. With
-    carry_rhs each right-hand side is the path's integer sum of the
-    metrics times their common denominator, so the echelon's values are
-    the true ones times that denominator.
+    Returns (echelon, path count, denominator D, weights); raises
+    NoPath when no simple path joins the monitors m1, m2. D is the
+    common denominator of the metrics, and the weights are the metrics
+    times D, as integers (D is 1 and the weights 0 without carry_rhs).
+    A stop at full column rank would never save a path:
+    1_star(m1) - 1_star(m2) is orthogonal to every path row, so full
+    rank forces every link at a monitor to be the direct link, which is
+    then the only path. Every path is fed as the same live 0/1 list,
+    which add does not keep, with only the links where the path differs
+    from the one before flipped. With carry_rhs each right-hand side is
+    the path's sum of the weights, so the echelon's values are the true
+    ones times D.
     """
     m1, m2 = g.require_monitors()
     m = g.m
@@ -186,7 +190,7 @@ def _feed_echelon(g, cap, carry_rhs=False):
     count = _walk_paths(g, m1, m2, cap, visit)
     if count == 0:
         raise NoPath(f"no simple path joins {m1} and {m2}")
-    return ech, count, den
+    return ech, count, den, weight
 
 
 def identifiable_links_bruteforce(g, path_cap=DEFAULT_PATH_CAP):
@@ -196,7 +200,7 @@ def identifiable_links_bruteforce(g, path_cap=DEFAULT_PATH_CAP):
     e_l lies in the span of the path incidence rows. Raises NoPath
     when the monitors have no connecting path at all.
     """
-    ech, _, _ = _feed_echelon(g, path_cap)
+    ech, _, _, _ = _feed_echelon(g, path_cap)
     return {j for j in range(g.m) if ech.unit_in_span(j)}
 
 
@@ -216,11 +220,11 @@ def oracle_analysis(g, path_cap=DEFAULT_PATH_CAP):
     path_count and rank describe the complete measurement system.
     """
     carry = g.metrics is not None
-    ech, count, den = _feed_echelon(g, path_cap, carry_rhs=carry)
+    ech, count, den, _ = _feed_echelon(g, path_cap, carry_rhs=carry)
     ident = {j for j in range(g.m) if ech.unit_in_span(j)}
     values = None
     if carry:
-        values = {j: ech.unit_value(j) / den for j in sorted(ident)}
+        values = {j: ech.unit_value(j, den) for j in sorted(ident)}
     return OracleResult(identifiable=ident, path_count=count,
                         rank=ech.rank, values=values)
 
@@ -238,24 +242,31 @@ class MetricRecovery:
         return set(self.recovered)
 
 
-def _positive_alternative(base, delta):
-    """base + eps*delta with eps > 0 small enough to stay positive.
+def _witness_alternative(base, weight, den, vec, f):
+    """base + eps * vec / vec[f], with eps > 0 small enough to keep it
+    positive, as a tuple.
 
-    Only the nonzero entries of delta are computed; the others are the
-    base entries themselves.
+    weight is base times den, in integers. With c = vec[f], eps is the
+    least base[k] * |c| / (2 |vec[k]|) over the entries k whose sign is
+    opposite to c's, compared by cross-multiplication, or 1 when there
+    are none. Each entry of vec gives one Fraction; the other entries
+    are the base entries themselves.
     """
-    moved = [(j, d) for j, d in enumerate(delta) if d]
-    eps = None
-    for j, d in moved:
-        if d < 0:
-            cand = Fraction(base[j], -2 * d)
-            if eps is None or cand < eps:
-                eps = cand
-    if eps is None:
-        eps = Fraction(1)
+    c = vec[f]
+    s = 1 if c > 0 else -1
+    best_w = best_y = None
+    for k, y in vec.items():
+        a = -s * y
+        if a > 0 and (best_y is None or weight[k] * best_y < best_w * a):
+            best_w, best_y = weight[k], a
+    if best_y is None:
+        scale, shift = c, den
+    else:
+        scale, shift = 2 * best_y, s * best_w
+    sden = scale * den
     alt = list(base)
-    for j, d in moved:
-        alt[j] += eps * d
+    for j, y in vec.items():
+        alt[j] = Fraction(scale * weight[j] + shift * y, sden)
     return tuple(alt)
 
 
@@ -264,29 +275,30 @@ def verify_metric_recovery(g, path_cap=DEFAULT_PATH_CAP):
 
     For each identifiable link the unique consistent value must equal
     the true metric exactly. For each unidentifiable link a witness
-    pair of positive assignments is built from a nullspace direction:
-    both satisfy every path sum, and they differ on that link.
+    pair of positive assignments is built from the first nullspace
+    vector that touches it: both satisfy every path sum, and they
+    differ on that link. Links that pick the same vector share its
+    alternative.
     """
     if g.metrics is None:
         raise GraphError("metric recovery needs metrics on the graph")
-    ech, _, den = _feed_echelon(g, path_cap, carry_rhs=True)
+    ech, _, den, weight = _feed_echelon(g, path_cap, carry_rhs=True)
     m = g.m
-    truth = [g.metrics[i] for i in range(m)]
+    base = tuple(g.metrics[i] for i in range(m))
     recovered = {}
     exact = True
     for j in range(m):
         if ech.unit_in_span(j):
-            recovered[j] = ech.unit_value(j) / den
-            if recovered[j] != truth[j]:
+            recovered[j] = ech.unit_value(j, den)
+            if recovered[j] != base[j]:
                 exact = False
-    witnesses = {}
-    basis = ech.nullspace_basis()
-    base = tuple(truth)
-    for j in range(m):
-        if j in recovered:
-            continue
-        delta = next(d for d in basis if d[j] != 0)
-        alt = _positive_alternative(base, delta)
-        witnesses[j] = (base, alt)
+    # each vector is the first to touch its own free column, so every
+    # vector is picked by at least one link
+    pick = {}
+    for vec, f in zip(ech.null, ech.free):
+        alt = _witness_alternative(base, weight, den, vec, f)
+        for j in vec:
+            pick.setdefault(j, alt)
+    witnesses = {j: (base, pick[j]) for j in sorted(pick)}
     return MetricRecovery(recovered=recovered, witnesses=witnesses,
                           exact=exact)

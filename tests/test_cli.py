@@ -152,6 +152,29 @@ def test_exhaustive_rejects_node_counts_outside_two_to_seven(capsys):
         assert "error: ParseError:" in capsys.readouterr().err
 
 
+def test_reversed_node_range_is_an_input_error(capsys):
+    for command in ("diff", "gen"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--nodes", "8,6"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --nodes: empty range: 8 > 6" in err
+        assert "Traceback" not in err
+
+
+def test_path_cap_must_be_positive(triangle_file, capsys):
+    for command, cap in (("oracle", "-3"), ("analyze", "0"),
+                         ("diff", "0"), ("exhaustive", "-1")):
+        argv = [command, "--path-cap", cap]
+        if command in ("oracle", "analyze"):
+            argv += ["--input", triangle_file]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument --path-cap: must be positive, not {int(cap)}" \
+            in capsys.readouterr().err
+
+
 def test_recursion_error_maps_to_exit_two(tmp_path, capsys):
     n = 3000
     path = tmp_path / "long.json"

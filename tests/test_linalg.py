@@ -70,6 +70,9 @@ def test_rhs_carry_and_unit_value():
     ech.add([1, 0, 0], Fraction(1))
     ech.add([0, 1, 1], Fraction(5, 6))
     assert ech.unit_value(0) == 1
+    ech.add([0, 1, 0], Fraction(1, 2))
+    assert ech.unit_value(2) == Fraction(1, 3)
+    assert repr(ech.unit_value(2, 4)) == repr(Fraction(1, 12))
     x = ech.particular_solution()
     assert x[0] == 1 and x[1] + x[2] == Fraction(5, 6)
 
@@ -81,6 +84,8 @@ def test_inconsistent_system_detected():
     assert ech.inconsistent
     with pytest.raises(InconsistentSystem):
         ech.unit_value(0)
+    with pytest.raises(InconsistentSystem):
+        ech.unit_value(0, 3)
     with pytest.raises(InconsistentSystem):
         ech.particular_solution()
 

@@ -19,6 +19,7 @@ from linkident import (
     grid,
     identifiable_links_bruteforce,
     oracle_analysis,
+    random_biconnected,
     verify_metric_recovery,
 )
 from linkident.oracle import build_measurement_matrix
@@ -204,6 +205,29 @@ def test_prism_interior_rungs_are_invisible():
     assert not rungs & res.identifiable
 
 
+def _assert_matches_reference(inst):
+    """The oracle's values and verify_metric_recovery's values,
+    witnesses and exactness equal reference_recovery's, by value and by
+    repr; returns the oracle's result and the recovery."""
+    recovered, witnesses, exact = reference_recovery(inst)
+    res = oracle_analysis(inst)
+    values = res.values
+    rec = verify_metric_recovery(inst)
+    assert values == rec.recovered == recovered
+    assert rec.witnesses == witnesses
+    assert rec.exact == exact
+    assert repr(values) == repr(rec.recovered) == repr(recovered)
+    assert repr(rec.witnesses) == repr(witnesses)
+    return res, rec
+
+
+def _mixed_metrics(g, rng):
+    return g.with_metrics({
+        eid: rng.choice((rng.randint(1, 9),
+                         Fraction(rng.randint(1, 9), rng.randint(1, 12))))
+        for eid in g.links})
+
+
 def test_values_and_witnesses_match_the_reference_on_small_graphs():
     """Every connected graph on 2..5 nodes, every ordered monitor pair,
     seeded metrics mixing ints and Fractions: the oracle's values, and
@@ -215,29 +239,43 @@ def test_values_and_witnesses_match_the_reference_on_small_graphs():
     systems = 0
     for n in range(2, 6):
         for index, g in enumerate(enumerate_all_connected_graphs(n)):
-            rng = random.Random(n * 10_000 + index)
-            g = g.with_metrics({
-                eid: rng.choice((rng.randint(1, 9),
-                                 Fraction(rng.randint(1, 9),
-                                          rng.randint(1, 12))))
-                for eid in g.links})
+            g = _mixed_metrics(g, random.Random(n * 10_000 + index))
             for m1, m2 in permutations(g.nodes, 2):
                 inst = g.with_monitors(m1, m2)
-                recovered, witnesses, exact = reference_recovery(inst)
-                res = oracle_analysis(inst)
-                values = res.values
-                rec = verify_metric_recovery(inst)
+                res, rec = _assert_matches_reference(inst)
                 assert res.rank < g.m or g.m == 1
                 assert identifiable_links_bruteforce(inst) \
-                    == res.identifiable
-                assert values == rec.recovered == recovered
-                assert rec.witnesses == witnesses
-                assert rec.exact == exact
-                assert repr(values) == repr(rec.recovered) \
-                    == repr(recovered)
-                assert repr(rec.witnesses) == repr(witnesses)
+                    == res.identifiable == rec.identifiable
                 systems += 1
     assert systems == 2 + 6 * 4 + 12 * 38 + 20 * 728
+
+
+def test_values_and_witnesses_match_the_reference_on_larger_graphs():
+    """30 seeded random 2-connected graphs on 6..8 nodes, every ordered
+    monitor pair, mixed int and Fraction metrics: longer nullspace
+    vectors than on 5 nodes, with both signs. One more graph carries a
+    pendant link, which no monitor path away from it uses, so its unit
+    vector is a nullspace vector of one sign and the witness moves it
+    by exactly 1."""
+    graphs = []
+    for i in range(30):
+        rng = random.Random(7300 + i)
+        graphs.append(_mixed_metrics(
+            random_biconnected(rng.randint(6, 8), rng), rng))
+    rng = random.Random(7399)
+    core = random_biconnected(7, rng)
+    pendant = Graph(range(8), sorted(core.links.values()) + [(0, 7)])
+    graphs.append(_mixed_metrics(pendant, rng))
+    tail = pendant.link_between(0, 7)
+    moved_by_one = 0
+    for g in graphs:
+        for m1, m2 in permutations(g.nodes, 2):
+            _, rec = _assert_matches_reference(g.with_monitors(m1, m2))
+            if g is graphs[-1] and 7 not in (m1, m2):
+                base, alt = rec.witnesses[tail]
+                assert alt[tail] == base[tail] + 1
+                moved_by_one += 1
+    assert moved_by_one == 7 * 6
 
 
 def test_oracle_sums_paths_without_fraction_additions(monkeypatch):
@@ -262,3 +300,47 @@ def test_oracle_sums_paths_without_fraction_additions(monkeypatch):
     assert calls <= g.m
     assert (res.path_count, g.m) == (184, 24)
     assert res.values == {j: g.metrics[j] for j in res.identifiable}
+
+
+def test_recovery_builds_witnesses_without_fraction_arithmetic(
+        monkeypatch):
+    """On grid(4, 4) between opposite corners, verify_metric_recovery
+    reads values and witnesses off the echelon's integers: no Fraction
+    arithmetic or ordering, and one Fraction per recovered value plus
+    one per entry that each distinct witness moves. The 8 unidentifiable
+    links share 3 nullspace vectors, and so 3 alternatives."""
+    g = grid(4, 4).with_monitors(0, 15)
+    g = g.with_metrics({eid: Fraction(eid + 1, eid % 5 + 2)
+                        for eid in g.links})
+    operators = 0
+    made = 0
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    def counting(op):
+        def wrapped(*args):
+            nonlocal operators
+            operators += 1
+            return op(*args)
+        return wrapped
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                 "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name,
+                            counting(getattr(Fraction, name)))
+    rec = verify_metric_recovery(g)
+    monkeypatch.undo()
+    base = tuple(g.metrics[j] for j in range(g.m))
+    alts = {id(alt): alt for _, alt in rec.witnesses.values()}
+    moved = sum(a is not b for alt in alts.values()
+                for a, b in zip(alt, base))
+    assert operators == 0
+    assert made <= len(rec.recovered) + moved
+    assert (len(rec.witnesses), len(alts)) == (8, 3)
+    assert rec.exact
