@@ -58,14 +58,24 @@ def _node_range(text):
     return lo, hi
 
 
-def _path_cap(text):
+def _positive_int(text):
     try:
-        cap = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an int: {text!r}")
-    if cap <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, not {cap}")
-    return cap
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
+def _probability(text):
+    try:
+        p = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0 <= p <= 1:     # also false for nan
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], not {text}")
+    return p
 
 
 def _load_graph(path, monitors):
@@ -192,14 +202,14 @@ def _add_sweep_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nodes", type=_node_range, default=(6, 6),
                    metavar="LO[,HI]", help="node count range, inclusive")
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--instances", type=_positive_int, default=100)
     p.add_argument("--generator", default="erdos-renyi",
                    choices=["erdos-renyi", "random-biconnected", "barbell",
                             "grid"])
     p.add_argument("--monitor-policy", default="sampled",
                    choices=["sampled", "all-pairs"])
-    p.add_argument("--edge-prob", type=float, default=0.5)
-    p.add_argument("--path-cap", type=_path_cap, default=DEFAULT_PATH_CAP)
+    p.add_argument("--edge-prob", type=_probability, default=0.5)
+    p.add_argument("--path-cap", type=_positive_int, default=DEFAULT_PATH_CAP)
 
 
 def build_parser():
@@ -212,12 +222,12 @@ def build_parser():
     _add_input_flags(p)
     p.add_argument("--dot", default=None, metavar="FILE",
                    help="also write a verdict-colored DOT file")
-    p.add_argument("--path-cap", type=_path_cap, default=DEFAULT_PATH_CAP)
+    p.add_argument("--path-cap", type=_positive_int, default=DEFAULT_PATH_CAP)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("oracle", help="exact verdicts from path algebra")
     _add_input_flags(p)
-    p.add_argument("--path-cap", type=_path_cap, default=DEFAULT_PATH_CAP)
+    p.add_argument("--path-cap", type=_positive_int, default=DEFAULT_PATH_CAP)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("diff", help="randomized structural-vs-oracle sweep")
@@ -234,7 +244,7 @@ def build_parser():
     p = sub.add_parser("exhaustive",
                        help="both engines on every connected graph up to N")
     p.add_argument("--nodes", type=_node_range, default=(6, 6), metavar="N")
-    p.add_argument("--path-cap", type=_path_cap, default=DEFAULT_PATH_CAP)
+    p.add_argument("--path-cap", type=_positive_int, default=DEFAULT_PATH_CAP)
     p.add_argument("--jsonl", default=None, metavar="FILE")
     p.set_defaults(func=_cmd_exhaustive)
 

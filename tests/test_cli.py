@@ -175,6 +175,22 @@ def test_path_cap_must_be_positive(triangle_file, capsys):
             in capsys.readouterr().err
 
 
+def test_sweep_flags_are_range_checked(capsys):
+    for argv, message in (
+            (["gen", "--instances", "-2"],
+             "argument --instances: must be positive, not -2"),
+            (["diff", "--edge-prob", "7"],
+             "argument --edge-prob: must be in [0, 1], not 7"),
+            (["diff", "--edge-prob", "nan"],
+             "argument --edge-prob: must be in [0, 1], not nan")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
 def test_recursion_error_maps_to_exit_two(tmp_path, capsys):
     n = 3000
     path = tmp_path / "long.json"

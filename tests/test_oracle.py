@@ -22,6 +22,7 @@ from linkident import (
     random_biconnected,
     verify_metric_recovery,
 )
+from linkident import oracle
 from linkident.oracle import build_measurement_matrix
 
 from helpers import (
@@ -344,3 +345,82 @@ def test_recovery_builds_witnesses_without_fraction_arithmetic(
     assert made <= len(rec.recovered) + moved
     assert (len(rec.witnesses), len(alts)) == (8, 3)
     assert rec.exact
+
+
+def _counted_walks(monkeypatch):
+    """List that grows by one graph per path walk the oracle makes."""
+    walks = []
+    walk = oracle._walk_paths
+
+    def counted(g, *args):
+        walks.append(g)
+        return walk(g, *args)
+
+    monkeypatch.setattr(oracle, "_walk_paths", counted)
+    return walks
+
+
+def _k4_with_metrics():
+    g = k4(monitors=(0, 1))
+    return g.with_metrics({eid: Fraction(eid + 2, 3) for eid in g.links})
+
+
+def test_analysis_then_recovery_walk_the_paths_once(monkeypatch):
+    """oracle_analysis then verify_metric_recovery on one Graph object
+    walk its paths once. An equal but distinct graph, another path cap
+    or no carried right-hand sides each walk again, with the same
+    answers; repeating the last call does not."""
+    walks = _counted_walks(monkeypatch)
+    g = _k4_with_metrics()
+    res = oracle_analysis(g)
+    rec = verify_metric_recovery(g)
+    assert len(walks) == 1
+    assert (res.path_count, res.rank, res.identifiable) == (5, 5, {0, 5})
+    assert rec.recovered == res.values == {j: g.metrics[j] for j in (0, 5)}
+    assert rec.exact and set(rec.witnesses) == {1, 2, 3, 4}
+
+    twin = g.with_monitors(*g.monitors)
+    assert verify_metric_recovery(twin) == rec
+    assert oracle_analysis(twin, path_cap=5) == res
+    assert identifiable_links_bruteforce(twin, path_cap=5) == {0, 5}
+    assert walks == [g, twin, twin, twin]
+    assert identifiable_links_bruteforce(twin, path_cap=5) == {0, 5}
+    assert len(walks) == 4
+
+
+def test_the_shared_walk_holds_one_graph(monkeypatch):
+    """Both calls on A, then on B, then on A again walk three times:
+    B's walk replaces A's, so nothing is kept beyond the last graph."""
+    walks = _counted_walks(monkeypatch)
+    a = _k4_with_metrics()
+    b = prism(monitors=(0, 5))
+    b = b.with_metrics({eid: eid + 1 for eid in b.links})
+    outs = [(oracle_analysis(g), verify_metric_recovery(g))
+            for g in (a, b, a)]
+    assert walks == [a, b, a]
+    assert outs[0] == outs[2] != outs[1]
+    assert (outs[1][0].path_count, outs[1][0].rank) == (9, 7)
+
+
+def test_a_failed_walk_leaves_the_shared_one_alone(monkeypatch):
+    """A smaller cap on a graph whose walk is kept still raises
+    PathExplosion, and the kept walk still serves the default cap.
+    After PathExplosion or NoPath, another graph gets its own answer."""
+    walks = _counted_walks(monkeypatch)
+    g = k4(monitors=(0, 1))
+    res = oracle_analysis(g)
+    with pytest.raises(PathExplosion):
+        oracle_analysis(g, path_cap=1)
+    assert oracle_analysis(g) == res
+    assert len(walks) == 2
+
+    other = prism(monitors=(0, 5))
+    assert identifiable_links_bruteforce(other) == {
+        other.link_between(0, 5), other.link_between(1, 2),
+        other.link_between(3, 4)}
+    split = Graph(range(4), [(0, 1), (2, 3)], monitors=(0, 2))
+    for _ in range(2):
+        with pytest.raises(NoPath):
+            oracle_analysis(split)
+    line = oracle_analysis(path_graph(2, monitors=(0, 2)))
+    assert (line.path_count, line.rank, line.identifiable) == (1, 1, set())
