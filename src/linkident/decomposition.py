@@ -31,11 +31,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .connectivity import k_vertex_connected
 from .errors import (
     BrokenPairing,
     Disconnected,
     NotBiconnected,
-    TooSmall,
     UnknownBlock,
 )
 from .graph import (
@@ -162,47 +162,18 @@ def _kind_of(links, nodes):
     return RIGID
 
 
-def _separation_classes(links, a, b):
-    """Partition of links at the node pair {a, b}.
-
-    One class per component of the link set minus {a, b} (the
-    component's links plus its links into a and b), plus one singleton
-    class per direct a-b link. Classes come out in deterministic
-    order: components by smallest contained node, then direct links by
-    id.
-    """
-    others = sorted(_endpoints(links) - {a, b})
-    adj = node_adjacency(others, (p for p in links.values()
-                                  if a not in p and b not in p))
-    comp_of = {}
-    count = 0
-    for start in others:
-        if start not in comp_of:
-            comp_of.update(dict.fromkeys(reachable(adj, (start,)), count))
-            count += 1
-    classes = [{} for _ in range(count)]
-    directs = []
-    for eid, (u, v) in sorted(links.items()):
-        if {u, v} == {a, b}:
-            directs.append({eid: (u, v)})
-        elif u in (a, b):
-            classes[comp_of[v]][eid] = (u, v)
-        else:
-            classes[comp_of[u]][eid] = (u, v)
-    return classes + directs
-
-
 def _find_split_pair(links, nodes, start):
-    """First qualifying separation pair (a, b) with a >= start, and its
-    classes.
+    """First qualifying separation pair (a, b) with a >= start.
 
-    Returns ((a, b), classes) with a < b, or (None, None) when no such
-    pair qualifies. A pair qualifies when its classes can be divided
-    into two sides of at least two links each: at least two classes,
-    excluding the case of exactly two classes where one is a lone
-    direct link. Pairs are tried in ascending (a, b) order; nodes must
-    be the sorted endpoints of links. Callers pass a start below which
-    no pair can qualify (see _split).
+    Returns (a, b) with a < b, or None when no such pair qualifies.
+    The classes of a pair {a, b} are the components of the piece minus
+    {a, b}, each with its links into a and b, plus one single-link
+    class per direct a-b link. A pair qualifies when its classes can
+    be divided into two sides of at least two links each: at least two
+    classes, excluding the case of exactly two classes where one is a
+    lone direct link. Pairs are tried in ascending (a, b) order; nodes
+    must be the sorted endpoints of links. Callers pass a start below
+    which no pair can qualify (see _split).
 
     Only candidate pairs are tried. In a 2-connected piece, {a, b}
     qualifies only if removing both leaves two or more components (so
@@ -215,8 +186,7 @@ def _find_split_pair(links, nodes, start):
     two component classes or two direct links beside a component
     class. The smallest candidate above the first a that has one is
     the first qualifying pair of all, so a search makes at most one
-    pass per node from start on and one _separation_classes call:
-    O(n*(n+m)).
+    pass per node from start on: O(n*(n+m)).
     """
     adj = link_adjacency(nodes, links.items())
     for a in nodes[bisect_left(nodes, start):]:
@@ -225,9 +195,21 @@ def _find_split_pair(links, nodes, start):
         candidates.update(w for w, k in direct.items() if k >= 2)
         above = [w for w in candidates if w > a]
         if above:
-            b = min(above)
-            return (a, b), _separation_classes(links, a, b)
-    return None, None
+            return a, min(above)
+    return None
+
+
+def _split_side(links, nodes, a, b):
+    """The side a split at {a, b} cuts off: the component of the piece
+    minus {a, b} that holds its smallest other node, with that
+    component's links into a and b, in link id order. In a 2-connected
+    piece every component links into both a and b, so this side has
+    two or more links and is the first such class of the pair."""
+    first = next(v for v in nodes if v != a and v != b)
+    side = reachable(node_adjacency(nodes, links.values()), (first,),
+                     (a, b))
+    return {eid: (u, v) for eid, (u, v) in sorted(links.items())
+            if u in side or v in side}
 
 
 def _split(block_links):
@@ -235,7 +217,9 @@ def _split(block_links):
 
     Returns (list of (link dict, kind) pieces, virtual id -> endpoint
     pair); the dict is empty, and the list is the block alone, when
-    nothing was cut.
+    nothing was cut. A piece with a qualifying pair (a, b) is cut into
+    _split_side and the rest, each side getting one copy of a new
+    virtual link a-b.
 
     Each piece's search starts at the smaller node a of the pair that
     cut its parent. That skips no qualifying pair: a pair (x, y) with
@@ -257,20 +241,17 @@ def _split(block_links):
         if kind != RIGID:
             out.append((links, kind))
             continue
-        pair, classes = _find_split_pair(
+        pair = _find_split_pair(
             links, nodes, nodes[0] if start is None else start)
         if pair is None:
             out.append((links, RIGID))
             continue
         a, b = pair
-        e1 = next(c for c in classes if len(c) >= 2)
+        side1 = _split_side(links, nodes, a, b)
+        side2 = {eid: p for eid, p in links.items() if eid not in side1}
         vid = vnext
         vnext += 1
-        vpairs[vid] = (a, b) if a < b else (b, a)
-        side1 = dict(e1)
-        side1[vid] = vpairs[vid]
-        side2 = {eid: p for eid, p in links.items() if eid not in e1}
-        side2[vid] = vpairs[vid]
+        vpairs[vid] = side1[vid] = side2[vid] = pair
         work.append((side1, a))
         work.append((side2, a))
     return out, vpairs
@@ -316,10 +297,6 @@ class TriComponent:
     nodes: tuple
     links: dict = field(hash=False)
     virtuals: frozenset
-
-    def real_links(self):
-        return {eid: pair for eid, pair in self.links.items()
-                if eid not in self.virtuals}
 
 
 @dataclass
@@ -417,18 +394,14 @@ def triconnected_components(block):
     """Canonical decomposition of a biconnected graph.
 
     The input must be simple, connected, free of cut vertices, and
-    have at least 3 nodes (single links and node pairs are handled at
-    the block level, not here).
+    have at least 3 nodes, else NotBiconnected or TooSmall is raised
+    (single links and node pairs are handled at the block level).
     """
-    if isinstance(block, Graph):
-        if block.n < 3:
-            raise TooSmall(f"need at least 3 nodes, have {block.n}")
-        reached, cuts, _ = lowpoint(link_adjacency(block.nodes,
-                                                   block.links.items()))
-        if cuts or len(reached) != block.n:
-            raise NotBiconnected("input is not 2-connected")
-        return decompose_links(block.links)
-    raise TypeError("triconnected_components expects a Graph")
+    if not isinstance(block, Graph):
+        raise TypeError("triconnected_components expects a Graph")
+    if not k_vertex_connected(block, 2):
+        raise NotBiconnected("input is not 2-connected")
+    return decompose_links(block.links)
 
 
 def reassemble(d):

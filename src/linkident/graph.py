@@ -32,6 +32,29 @@ def _normalize(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _check_monitors(monitors, nodes):
+    """The monitor pair as a tuple, checked to be two distinct nodes."""
+    m1, m2 = monitors
+    if m1 == m2:
+        raise MonitorsNotDistinct(f"both monitors are node {m1}")
+    for m in (m1, m2):
+        if m not in nodes:
+            raise MonitorNotInGraph(f"monitor {m} is not a node")
+    return m1, m2
+
+
+def _clean_metrics(metrics, links):
+    """Fraction per link id, or None for no metrics at all."""
+    clean = {}
+    for eid, value in metrics.items():
+        if eid not in links:
+            raise GraphError(f"metric for unknown link id {eid}")
+        clean[eid] = Fraction(value)
+    if clean and len(clean) != len(links):
+        raise GraphError("metrics must cover every link")
+    return clean or None
+
+
 def node_adjacency(nodes, pairs):
     """Neighbour lists of nodes for (u, v) pairs; parallel pairs
     repeat."""
@@ -157,25 +180,8 @@ class Graph:
             links[eid] = key
 
         if monitors is not None:
-            m1, m2 = monitors
-            if m1 == m2:
-                raise MonitorsNotDistinct(f"both monitors are node {m1}")
-            for m in (m1, m2):
-                if m not in node_set:
-                    raise MonitorNotInGraph(f"monitor {m} is not a node")
-            monitors = (m1, m2)
-
-        if metrics:
-            clean = {}
-            for eid, value in metrics.items():
-                if eid not in links:
-                    raise GraphError(f"metric for unknown link id {eid}")
-                clean[eid] = Fraction(value)
-            if len(clean) != len(links):
-                raise GraphError("metrics must cover every link")
-            metrics = clean
-        else:
-            metrics = None
+            monitors = _check_monitors(monitors, node_set)
+        metrics = _clean_metrics(metrics or {}, links)
 
         adj = link_adjacency(node_list, links.items())
         for v in adj:
@@ -246,23 +252,13 @@ class Graph:
 
     def with_monitors(self, m1, m2):
         """Copy of this graph with the given monitors."""
-        if m1 == m2:
-            raise MonitorsNotDistinct(f"both monitors are node {m1}")
-        for m in (m1, m2):
-            if m not in self._adj:
-                raise MonitorNotInGraph(f"monitor {m} is not a node")
-        return self._shallow((m1, m2), self.metrics)
+        return self._shallow(_check_monitors((m1, m2), self._adj),
+                             self.metrics)
 
     def with_metrics(self, metrics):
         """Copy of this graph with the given link metrics."""
-        clean = {}
-        for eid, value in metrics.items():
-            if eid not in self.links:
-                raise GraphError(f"metric for unknown link id {eid}")
-            clean[eid] = Fraction(value)
-        if clean and len(clean) != len(self.links):
-            raise GraphError("metrics must cover every link")
-        return self._shallow(self.monitors, clean or None)
+        return self._shallow(self.monitors,
+                             _clean_metrics(metrics, self.links))
 
     # -- serialization ------------------------------------------------
 
@@ -306,10 +302,13 @@ class Graph:
                 raise ParseError("metrics must be an object")
             parsed = {}
             for key, raw in metrics.items():
+                if isinstance(raw, bool):
+                    raise ParseError(f"bad metric {key!r}: {raw!r}")
                 try:
                     eid = int(key)
                     parsed[eid] = Fraction(raw)
-                except (ValueError, ZeroDivisionError, TypeError) as exc:
+                except (ValueError, ZeroDivisionError, TypeError,
+                        OverflowError) as exc:
                     raise ParseError(f"bad metric {key!r}: {exc}") from None
             metrics = parsed
         try:

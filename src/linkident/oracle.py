@@ -21,10 +21,9 @@ echelon's integer nullspace vectors, with one Fraction per entry it
 moves. No floating point is used anywhere.
 
 The most recent fed echelon is kept in a single slot, keyed by the
-Graph object itself, the path cap and whether right-hand sides were
-carried. oracle_analysis followed by verify_metric_recovery on one
-Graph object therefore walks its paths once; any other graph, cap or
-carry flag walks again and replaces the slot.
+Graph object itself and the path cap. oracle_analysis followed by
+verify_metric_recovery on one Graph object therefore walks its paths
+once; any other graph or cap walks again and replaces the slot.
 """
 
 from __future__ import annotations
@@ -147,48 +146,48 @@ def build_measurement_matrix(paths, g):
                              ncols=m)
 
 
-# (graph, cap, carry_rhs, result) of the last _feed_echelon that
-# returned; replaced in one assignment, so a reader sees a whole entry
+# (graph, cap, result) of the last _feed_echelon that returned;
+# replaced in one assignment, so a reader sees a whole entry
 _last_feed = None
 
 
-def _feed_echelon(g, cap, carry_rhs=False):
+def _feed_echelon(g, cap):
     """Stream every path row between g's monitors into an echelon.
 
     Returns (echelon, path count, denominator D, weights); raises
-    NoPath when no simple path joins the monitors m1, m2. D is the
+    NoPath when no simple path joins the monitors m1, m2. The echelon
+    carries right-hand sides exactly when g has metrics. D is the
     common denominator of the metrics, and the weights are the metrics
-    times D, as integers (D is 1 and the weights 0 without carry_rhs).
+    times D, as integers (D is 1 and the weights 0 without metrics).
     A stop at full column rank would never save a path:
     1_star(m1) - 1_star(m2) is orthogonal to every path row, so full
     rank forces every link at a monitor to be the direct link, which is
     then the only path. Every path is fed as the same live 0/1 list,
     which add does not keep, with only the links where the path differs
-    from the one before flipped. With carry_rhs each right-hand side is
+    from the one before flipped. With metrics each right-hand side is
     the path's sum of the weights, so the echelon's values are the true
     ones times D.
 
-    The result is shared: a call with the same Graph object, cap and
-    carry_rhs as the last call that returned gets that call's result
-    back without a walk. Graph is immutable, so the object is an exact
-    key, and the slot's reference to it keeps its id from being
-    reused. A call that raises leaves the slot as it was. Every caller
+    The result is shared: a call with the same Graph object and cap as
+    the last call that returned gets that call's result back without a
+    walk. Graph is immutable, so the object is an exact key, and the
+    slot's reference to it keeps its id from being reused. A call that
+    raises leaves the slot as it was. Every caller
     (identifiable_links_bruteforce, oracle_analysis and
     verify_metric_recovery) only reads the echelon and the weights.
     """
     global _last_feed
     last = _last_feed
-    if (last is not None and last[0] is g and last[1] == cap
-            and last[2] == carry_rhs):
-        return last[3]
+    if last is not None and last[0] is g and last[1] == cap:
+        return last[2]
     m1, m2 = g.require_monitors()
     m = g.m
-    ech = IntegerEchelon(m, carry_rhs=carry_rhs)
+    ech = IntegerEchelon(m, carry_rhs=g.metrics is not None)
     add = ech.add
     row = [0] * m
     den = 1
     weight = [0] * m
-    if carry_rhs:
+    if g.metrics is not None:
         metrics = [g.metrics[j] for j in range(m)]
         den = lcm(*(x.denominator for x in metrics))
         weight = [x.numerator * (den // x.denominator) for x in metrics]
@@ -215,7 +214,7 @@ def _feed_echelon(g, cap, carry_rhs=False):
     if count == 0:
         raise NoPath(f"no simple path joins {m1} and {m2}")
     result = ech, count, den, weight
-    _last_feed = (g, cap, carry_rhs, result)
+    _last_feed = (g, cap, result)
     return result
 
 
@@ -245,11 +244,10 @@ def oracle_analysis(g, path_cap=DEFAULT_PATH_CAP):
 
     path_count and rank describe the complete measurement system.
     """
-    carry = g.metrics is not None
-    ech, count, den, _ = _feed_echelon(g, path_cap, carry_rhs=carry)
+    ech, count, den, _ = _feed_echelon(g, path_cap)
     ident = {j for j in range(g.m) if ech.unit_in_span(j)}
     values = None
-    if carry:
+    if g.metrics is not None:
         values = {j: ech.unit_value(j, den) for j in sorted(ident)}
     return OracleResult(identifiable=ident, path_count=count,
                         rank=ech.rank, values=values)
@@ -304,11 +302,14 @@ def verify_metric_recovery(g, path_cap=DEFAULT_PATH_CAP):
     pair of positive assignments is built from the first nullspace
     vector that touches it: both satisfy every path sum, and they
     differ on that link. Links that pick the same vector share its
-    alternative.
+    alternative. The witnesses need a positive base, so every metric
+    must be positive (its numerator is; oracle_analysis takes any).
     """
     if g.metrics is None:
         raise GraphError("metric recovery needs metrics on the graph")
-    ech, _, den, weight = _feed_echelon(g, path_cap, carry_rhs=True)
+    if any(x.numerator <= 0 for x in g.metrics.values()):
+        raise GraphError("metric recovery needs positive metrics")
+    ech, _, den, weight = _feed_echelon(g, path_cap)
     m = g.m
     base = tuple(g.metrics[i] for i in range(m))
     recovered = {}

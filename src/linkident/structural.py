@@ -54,8 +54,8 @@ from .decomposition import (
     biconnected_components,
     decompose_links,
 )
-from .errors import WrongAgentCount
-from .graph import Graph, reachable
+from .errors import UnknownNode, WrongAgentCount
+from .graph import Graph
 from .oracle import DEFAULT_PATH_CAP, identifiable_links_bruteforce
 
 RULE_DIRECT = "direct-agent-link"
@@ -111,18 +111,18 @@ class Structure:
     """Monitor-independent decomposition state of one graph.
 
     Caches the block-cut tree, per-block triconnected decompositions,
-    far-side node sets per virtual link, per-block oracle runs and
-    rigid-component checks, so that repeated analyses of the same
-    topology under different monitor placements share all the heavy
-    work. Monitors on the held graph are ignored; analyze() accepts a
-    Structure built from any graph with identical nodes and links.
+    each component's virtual link facing each node, per-block oracle
+    runs and rigid-component checks, so that repeated analyses of the
+    same topology under different monitor placements share all the
+    heavy work. Monitors on the held graph are ignored; analyze()
+    accepts a Structure built from any graph with identical nodes and links.
     """
 
     def __init__(self, g):
         self.g = g
         self.bct = biconnected_components(g)
         self._tri = {}
-        self._far = {}
+        self._toward = {}
         self._block_oracle = {}
         self._pair_ok = {}
 
@@ -138,21 +138,27 @@ class Structure:
                 {eid: self.g.links[eid] for eid in block.links})
         return self._tri[bid]
 
-    def far_nodes(self, bid, cid, vid):
-        """Nodes strictly beyond virtual link vid, seen from component
-        cid: everything in the component subtree on the other side,
-        minus the split pair itself."""
-        key = (bid, cid, vid)
-        if key not in self._far:
+    def toward(self, bid, node):
+        """{cid: vid}: for each component of block bid without node,
+        the virtual link vid facing node, so that node lies beyond
+        pair_nodes[vid]; components holding node map to None. One walk
+        out from the holders, a connected subtree of the component
+        tree. Raises UnknownNode when the block lacks node."""
+        key = (bid, node)
+        if key not in self._toward:
             d = self.tri(bid)
-            tree = {c.cid: [d.partner(c.cid, v) for v in c.virtuals]
-                    for c in d.components}
-            nodes = set()
-            for c in reachable(tree, (d.partner(cid, vid),), {cid}):
-                nodes.update(d.components[c].nodes)
-            nodes.difference_update(d.pair_nodes[vid])
-            self._far[key] = frozenset(nodes)
-        return self._far[key]
+            order = [c.cid for c in d.components if node in c.nodes]
+            if not order:
+                raise UnknownNode(f"node {node} is not in block {bid}")
+            facing = dict.fromkeys(order)
+            for cid in order:           # order grows as the walk goes
+                for vid in d.components[cid].virtuals:
+                    nxt = d.partner(cid, vid)
+                    if nxt not in facing:
+                        facing[nxt] = vid
+                        order.append(nxt)
+            self._toward[key] = facing
+        return self._toward[key]
 
     def block_oracle(self, bid, agents, path_cap=DEFAULT_PATH_CAP):
         """Exact identifiable set of one block, measured between its
@@ -202,22 +208,6 @@ def _identifiable(nodes, links, monitors, path_cap):
     return frozenset(ids[i] for i in pos)
 
 
-def _require_two_agents(agents):
-    distinct = set(agents)
-    if len(distinct) != 2:
-        raise WrongAgentCount(
-            f"need two distinct agents, got {tuple(agents)!r}")
-    return distinct
-
-
-def _pair_beyond(st, bid, comp, agent):
-    """The one split pair of comp with agent strictly beyond it."""
-    for vid in comp.virtuals:
-        if agent in st.far_nodes(bid, comp.cid, vid):
-            return st.tri(bid).pair_nodes[vid]
-    raise AssertionError(f"agent {agent} beyond no pair of {comp.cid}")
-
-
 def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
     """Classify one non-bond component against the block's two agents.
 
@@ -239,7 +229,8 @@ def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
     The cases are exhaustive because an agent outside the component is
     beyond exactly one split pair: the components holding a node form a
     connected subtree of the component tree, and a canonical non-bond
-    component has one virtual link per split pair. A transit triangle
+    component has one virtual link per split pair, Structure.toward's
+    (UnknownNode for an agent outside the block). A transit triangle
     needs no check that its shortcut can be bypassed: the neighbour at
     each crossing pair is a bond of three or more links or a rigid
     component, since a lone polygon there would have merged with the
@@ -252,8 +243,12 @@ def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
     across a rung is the smallest counterexample), and a component
     that fails the check falls back rather than over-promise.
     """
-    distinct = _require_two_agents(agents)
-    comp = st.tri(bid).component(cid)
+    distinct = set(agents)
+    if len(distinct) != 2:
+        raise WrongAgentCount(
+            f"need two distinct agents, got {tuple(agents)!r}")
+    d = st.tri(bid)
+    comp = d.component(cid)
     if comp.kind == BOND:
         raise ValueError("bond components are not classified; their"
                          " links are adopted by their neighbors")
@@ -273,14 +268,14 @@ def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
     if len(inside) == 1:
         m = inside[0]
         (other,) = distinct - {m}
-        p = _pair_beyond(st, bid, comp, other)
+        p = d.pair_nodes[st.toward(bid, other)[cid]]
         if m in p:
             return agent_pair(p)
         return Classification(category=Category.INNER_AGENT,
                               inner_agent=m, toward_pair=p)
     a1, a2 = sorted(distinct)
-    p1 = _pair_beyond(st, bid, comp, a1)
-    p2 = _pair_beyond(st, bid, comp, a2)
+    p1 = d.pair_nodes[st.toward(bid, a1)[cid]]
+    p2 = d.pair_nodes[st.toward(bid, a2)[cid]]
     if p1 == p2:
         return agent_pair(p1)
     det = tuple(sorted((p1, p2)))

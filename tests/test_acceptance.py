@@ -260,7 +260,8 @@ def _decomposition_violations(g):
     tri = triconnected_components(g)
     if _rebuilt(reassemble(tri)).to_json() != _rebuilt(g).to_json():
         out.append("reassembly")
-    seen = sorted(eid for c in tri.components for eid in c.real_links())
+    seen = sorted(eid for c in tri.components for eid in c.links
+                  if eid not in c.virtuals)
     if seen != sorted(g.links):
         out.append("link partition")
     rigid = 0

@@ -134,6 +134,18 @@ def test_gen_streams_deterministic_jsonl(tmp_path, capsys):
     assert out.read_text() == stdout
 
 
+def test_non_finite_or_boolean_metrics_are_input_errors(tmp_path, capsys):
+    head = ('{"nodes": [0, 1, 2], "edges": [[0, 1], [0, 2], [1, 2]],'
+            ' "monitors": [0, 1], "metrics": {"0": ')
+    for raw in ("1e400", "Infinity", "-Infinity", "NaN", "true"):
+        path = tmp_path / "metrics.json"
+        path.write_text(head + raw + ', "1": 1, "2": 1}}')
+        assert main(["oracle", "--input", str(path)]) == 2, raw
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: bad metric '0'"), raw
+        assert err.count("\n") == 1, raw
+
+
 def test_exhaustive_three_nodes_is_clean(capsys):
     assert main(["exhaustive", "--nodes", "3"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -22,7 +22,7 @@ from linkident import (
     triconnected_components,
 )
 from linkident import decomposition
-from linkident.graph import lowpoint
+from linkident.graph import lowpoint, node_adjacency, reachable
 
 from helpers import bowtie_on_edge, c5, k4, k_vertex_connected, path_graph, \
     prism, triangle, two_triangles
@@ -104,7 +104,8 @@ def test_k4_is_one_rigid_component():
 def test_cycle_is_one_polygon():
     tri = triconnected_components(c5())
     assert [c.kind for c in tri.components] == ["polygon"]
-    assert sorted(tri.components[0].real_links()) == [0, 1, 2, 3, 4]
+    assert tri.components[0].virtuals == frozenset()
+    assert sorted(tri.components[0].links) == [0, 1, 2, 3, 4]
 
 
 def test_a_3000_node_cycle_is_one_polygon():
@@ -162,7 +163,7 @@ def test_component_accessors():
     assert sorted(c1.links) == [1, 2, 5]
     assert c1.virtuals == frozenset({5})
     assert c1.nodes == (0, 1, 2)
-    assert sorted(c1.real_links()) == [1, 2]
+    assert sorted(set(c1.links) - c1.virtuals) == [1, 2]
     assert hash(c1) == hash(tri.component(1))
     assert tri.partner(0, 5) == 1
     assert tri.partner(1, 5) == 0
@@ -263,7 +264,8 @@ def test_structural_invariants_of_component_kinds():
 def test_real_links_partition_across_components():
     for g in [bowtie_on_edge(), prism(), k4(), c5()]:
         tri = triconnected_components(g)
-        seen = [eid for c in tri.components for eid in c.real_links()]
+        seen = [eid for c in tri.components for eid in c.links
+                if eid not in c.virtuals]
         assert sorted(seen) == sorted(g.links)
 
 
@@ -280,20 +282,50 @@ def test_every_virtual_id_lives_in_exactly_two_components():
 # -- split-pair search against the all-pairs reference ------------------
 
 
+def separation_classes(links, a, b):
+    """Partition of links at the node pair {a, b}.
+
+    One class per component of the link set minus {a, b} (the
+    component's links plus its links into a and b), plus one singleton
+    class per direct a-b link. Classes come out in deterministic
+    order: components by smallest contained node, then direct links by
+    id.
+    """
+    others = sorted(decomposition._endpoints(links) - {a, b})
+    adj = node_adjacency(others, (p for p in links.values()
+                                  if a not in p and b not in p))
+    comp_of = {}
+    count = 0
+    for start in others:
+        if start not in comp_of:
+            comp_of.update(dict.fromkeys(reachable(adj, (start,)), count))
+            count += 1
+    classes = [{} for _ in range(count)]
+    directs = []
+    for eid, (u, v) in sorted(links.items()):
+        if {u, v} == {a, b}:
+            directs.append({eid: (u, v)})
+        elif u in (a, b):
+            classes[comp_of[v]][eid] = (u, v)
+        else:
+            classes[comp_of[u]][eid] = (u, v)
+    return classes + directs
+
+
 def scan_all_pairs(links, nodes, start=None):
     """Reference split-pair search: every node pair in ascending order,
-    with the same qualification rule as the library. It ignores start,
-    so matching it proves that the library's start bound skips no
-    qualifying pair."""
+    qualified by the full partition of separation_classes. It ignores
+    start, so matching it proves that the library's start bound skips
+    no qualifying pair."""
     for a, b in combinations(nodes, 2):
-        classes = decomposition._separation_classes(links, a, b)
+        classes = separation_classes(links, a, b)
         if len(classes) < 2:
             continue
         if len(classes) == 2 and (len(classes[0]) == 1
                                   or len(classes[1]) == 1):
             continue
-        return (a, b), classes
-    return None, None
+        return a, b
+    return None
 
 
 def decomposed_both_ways(links, monkeypatch):
@@ -304,27 +336,61 @@ def decomposed_both_ways(links, monkeypatch):
     return fast, slow
 
 
-def test_split_search_matches_all_pairs_scan_on_small_graphs(monkeypatch):
-    count = 0
+def small_blocks():
+    """Link dicts of every block of every connected graph on 2..5
+    nodes."""
     for n in range(2, 6):
         for g in enumerate_all_connected_graphs(n):
             for b in biconnected_components(g).blocks:
-                links = {eid: g.links[eid] for eid in b.links}
-                fast, slow = decomposed_both_ways(links, monkeypatch)
-                assert fast == slow
-                count += 1
-    assert count > 100
+                yield {eid: g.links[eid] for eid in b.links}
 
 
-def test_split_search_matches_all_pairs_scan_on_larger_blocks(monkeypatch):
+def larger_blocks():
+    """Link dicts of grids 3..6 and 100 seeded 2-connected graphs on
+    8..14 nodes."""
     graphs = [grid(k, k) for k in range(3, 7)]
     for i in range(100):
         rng = random.Random(9300 + i)
         graphs.append(random_biconnected(rng.randint(8, 14), rng,
                                          chord_prob=rng.choice((0.1, 0.3))))
-    for g in graphs:
-        fast, slow = decomposed_both_ways(g.links, monkeypatch)
+    return [g.links for g in graphs]
+
+
+def test_split_search_matches_all_pairs_scan_on_small_graphs(monkeypatch):
+    count = 0
+    for links in small_blocks():
+        fast, slow = decomposed_both_ways(links, monkeypatch)
         assert fast == slow
+        count += 1
+    assert count > 100
+
+
+def test_split_search_matches_all_pairs_scan_on_larger_blocks(monkeypatch):
+    for links in larger_blocks():
+        fast, slow = decomposed_both_ways(links, monkeypatch)
+        assert fast == slow
+
+
+def test_each_split_side_is_the_first_class_of_two_or_more_links(
+        monkeypatch):
+    """At every split of both corpora above, the side _split_side cuts
+    off is the first class of two or more links in the full partition
+    at the split pair."""
+    splits = []
+    original = decomposition._split_side
+
+    def checked(links, nodes, a, b):
+        side = original(links, nodes, a, b)
+        expected = next(c for c in separation_classes(links, a, b)
+                        if len(c) >= 2)
+        assert list(side.items()) == list(expected.items()), (links, a, b)
+        splits.append((a, b))
+        return side
+
+    monkeypatch.setattr(decomposition, "_split_side", checked)
+    for links in [*small_blocks(), *larger_blocks()]:
+        decompose_links(links)
+    assert len(splits) > 500
 
 
 def test_split_search_finds_a_pair_through_parallel_links(monkeypatch):
@@ -335,23 +401,23 @@ def test_split_search_finds_a_pair_through_parallel_links(monkeypatch):
     adj = {0: [(1, 0), (3, 3), (1, 5)], 1: [(0, 0), (3, 4), (0, 5)],
            3: [(0, 3), (1, 4)]}
     assert lowpoint(adj, 0)[1] == set()
-    pair, classes = decomposition._find_split_pair(piece, [0, 1, 3], 0)
-    assert pair == (0, 1)
-    assert (pair, classes) == scan_all_pairs(piece, [0, 1, 3])
+    pair = decomposition._find_split_pair(piece, [0, 1, 3], 0)
+    assert pair == (0, 1) == scan_all_pairs(piece, [0, 1, 3])
     fast, slow = decomposed_both_ways(piece, monkeypatch)
     assert fast == slow
     assert [c["kind"] for c in fast["components"]] == ["bond", "polygon"]
 
 
 def test_split_search_tests_few_pairs_on_a_grid(monkeypatch):
+    """One _split_side call per split."""
     calls = []
-    original = decomposition._separation_classes
+    original = decomposition._split_side
 
-    def counted(links, a, b):
+    def counted(links, nodes, a, b):
         calls.append((a, b))
-        return original(links, a, b)
+        return original(links, nodes, a, b)
 
-    monkeypatch.setattr(decomposition, "_separation_classes", counted)
+    monkeypatch.setattr(decomposition, "_split_side", counted)
     decompose_links(grid(9, 9).links)
     assert 0 < len(calls) < 20
 

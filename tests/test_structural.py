@@ -12,6 +12,7 @@ from linkident import (
     Disconnected,
     Graph,
     Structure,
+    UnknownNode,
     WrongAgentCount,
     analyze,
     classify_component,
@@ -24,6 +25,7 @@ from linkident import (
     random_biconnected,
 )
 from linkident import structural
+from linkident.graph import node_adjacency, reachable
 from linkident.structural import _Claims
 
 from helpers import bowtie_on_edge, path_graph, prism, triangle, \
@@ -245,6 +247,8 @@ def test_classify_component_pins():
         classify_component(stb, 0, 0, (2, 3))
     with pytest.raises(WrongAgentCount):
         classify_component(stb, 0, 1, (2, 2))
+    with pytest.raises(UnknownNode):
+        classify_component(Structure(grid(3, 3)), 0, 1, (0, 99))
 
     st8 = Structure(transit_rigid_instance())
     cls = classify_component(st8, 0, 1, (6, 7))
@@ -278,14 +282,22 @@ def _split_blocks():
 
 
 def test_an_outside_node_is_beyond_exactly_one_split_pair():
+    """Checked by graph search: of a component's split pairs, exactly
+    one cuts an outside node v off from the component's other nodes
+    when removed from the block, and it is the pair Structure.toward
+    names for v."""
     for st, d, block in _split_blocks():
+        adj = node_adjacency(block.nodes,
+                             (st.g.links[eid] for eid in block.links))
         for comp in d.components:
             if comp.kind == "bond":
                 continue
             for v in set(block.nodes) - set(comp.nodes):
-                beyond = [vid for vid in comp.virtuals
-                          if v in st.far_nodes(block.bid, comp.cid, vid)]
-                assert len(beyond) == 1, (block, comp.cid, v)
+                cutting = [pair for pair in d.split_pairs[comp.cid]
+                           if not reachable(adj, (v,), pair)
+                           & (set(comp.nodes) - set(pair))]
+                facing = d.pair_nodes[st.toward(block.bid, v)[comp.cid]]
+                assert cutting == [facing], (block, comp.cid, v)
 
 
 def test_a_split_pairs_parallel_link_lives_in_the_bond_there():
@@ -303,7 +315,8 @@ def test_a_split_pairs_parallel_link_lives_in_the_bond_there():
                     continue
                 across = d.component(d.partner(comp.cid, vid))
                 assert across.kind == "bond", (block, comp.cid, pair)
-                assert eid in across.real_links(), (block, comp.cid, pair)
+                assert eid in set(across.links) - across.virtuals, \
+                    (block, comp.cid, pair)
 
 
 def test_a_triangle_has_a_second_way_through_every_split_pair():
@@ -327,9 +340,12 @@ def test_two_nodes_beyond_a_split_pair_reach_it_disjointly():
         for comp in d.components:
             if comp.kind == "bond":
                 continue
-            for vid in comp.virtuals:
-                far = sorted(st.far_nodes(block.bid, comp.cid, vid))
-                for agents in combinations(far, 2):
+            beyond = {}
+            for v in set(block.nodes) - set(comp.nodes):
+                vid = st.toward(block.bid, v)[comp.cid]
+                beyond.setdefault(vid, []).append(v)
+            for vid, far in beyond.items():
+                for agents in combinations(sorted(far), 2):
                     assert has_disjoint_fan(block.nodes, links, agents,
                                             d.pair_nodes[vid]), \
                         (block, comp.cid, vid, agents)
