@@ -6,8 +6,16 @@ the unique cut vertex through which the block is reached from that
 monitor. We call these two nodes the block's agents. All analysis of
 a block only ever sees path segments between its agents, so they act
 as stand-in monitors for the block (with one caveat around a direct
-agent-to-agent link, handled by the classifier). One BFS from each
-monitor finds the agents of all blocks at once.
+agent-to-agent link, handled by the classifier).
+
+The block-cut tree already determines every agent, so no graph search
+finds them. Rooted where its DFS started, the tree hangs each block
+from its head. A block off the monitor's walk up to the root is
+entered from the monitor through its head; a block on that walk is
+entered through the node the walk comes up from. So one walk per
+monitor, O(depth), overwrites the heads along it. Witness paths from
+the monitors to the agents take one BFS per monitor, run on first
+read.
 """
 
 from __future__ import annotations
@@ -20,15 +28,33 @@ from .decomposition import biconnected_components
 from .errors import UnknownBlock
 
 
-@dataclass(frozen=True)
+class _Searches:
+    """BFS prev maps from the monitors of one locate_agents call,
+    each run on first need and shared by every block of the call."""
+
+    def __init__(self, g):
+        self.g = g
+        self.prev = {}
+
+    def path(self, m, v):
+        """Shortest node path from monitor m to v, found in neighbour
+        order; (m,) when v is m, without a search."""
+        if v == m:
+            return _witness({m: None}, v)
+        if m not in self.prev:
+            self.prev[m] = _bfs_prev(self.g, m)
+        return _witness(self.prev[m], v)
+
+
+@dataclass(frozen=True, init=False)
 class AgentAssignment:
     """The two agents of one block.
 
     agents[i] is where paths from monitors[i] enter the block;
     connecting_paths[i] is a shortest node path from monitors[i] to
     its agent as a witness (a single-node tuple when the monitor is
-    in the block itself). The paths are computed on first access from
-    prev, the two monitors' BFS prev maps, which every block of one
+    in the block itself). The paths are computed on first access,
+    from at most one BFS per monitor that every block of one
     locate_agents call shares; callers that read only the agents pay
     nothing for them. The two agents coincide exactly when both
     monitors reach the block through the same cut vertex.
@@ -37,40 +63,32 @@ class AgentAssignment:
     block: int
     monitors: tuple
     agents: tuple
-    prev: tuple = field(compare=False, repr=False)
+    searches: _Searches = field(compare=False, repr=False)
+
+    def __init__(self, block, monitors, agents, searches):
+        # one update in place of the generated frozen __init__'s four
+        # object.__setattr__ calls: locate_agents makes one of these
+        # per block on every call, and this takes a third less time
+        self.__dict__.update(block=block, monitors=monitors,
+                             agents=agents, searches=searches)
 
     @cached_property
     def connecting_paths(self):
-        return tuple(_witness(prev, a)
-                     for prev, a in zip(self.prev, self.agents))
+        return tuple(self.searches.path(m, a)
+                     for m, a in zip(self.monitors, self.agents))
 
 
-def _first_hits(g, m, bct):
-    """First node of every block reached from monitor m, by one BFS.
-
-    Returns (block id -> agent, the BFS prev map). The BFS runs from m
-    in neighbour order. Every path from m into a block enters through
-    the same node (m itself, or one cut vertex), which is strictly
-    closer to m than any other node of the block, so it is the block's
-    first discovered node. A BFS stopped at that node is a prefix of
-    this one, so the prev links behind its witness path are the same
-    too. The search ends once every block has its agent, and is
-    skipped when m lies in all of them: O(n + m) per monitor. Blocks
-    never reached are missing from the result.
-    """
-    agents = dict.fromkeys(bct.blocks_of_node(m), m)
+def _bfs_prev(g, m):
+    """BFS prev map of the whole graph from m, in neighbour order."""
     prev = {m: None}
     queue = deque([m])
-    while queue and len(agents) < len(bct.blocks):
+    while queue:
         v = queue.popleft()
         for w, _ in g.neighbors(v):
-            if w in prev:
-                continue
-            prev[w] = v
-            for bid in bct.blocks_of_node(w):
-                agents.setdefault(bid, w)
-            queue.append(w)
-    return agents, prev
+            if w not in prev:
+                prev[w] = v
+                queue.append(w)
+    return prev
 
 
 def _witness(prev, v):
@@ -82,31 +100,34 @@ def _witness(prev, v):
     return tuple(reversed(path))
 
 
+def _entries(bct, m):
+    """Agent of monitor m for every block, as a list by block id: the
+    blocks' heads, overwritten along m's walk up the tree."""
+    agents = list(bct.head)
+    while m in bct.up:
+        b = bct.up[m]
+        agents[b] = m
+        m = bct.head[b]
+    return agents
+
+
 def locate_agents(g, bct=None):
     """Agents of every block for the graph's two monitors.
 
-    Returns a dict mapping block id to its AgentAssignment. Costs one
-    BFS per monitor over the whole graph, not one per block; a
-    block's witness paths are walked only when read. Raises
-    UnknownBlock when a block of bct cannot be reached from a monitor
-    (bct built from another graph).
+    Returns a dict mapping block id to its AgentAssignment. The agents
+    are read off the block-cut tree with no graph search: one walk
+    from each monitor up the tree, O(blocks + depth). A block's
+    witness paths are found only when read, by one BFS per monitor
+    for the whole call. Raises UnknownBlock when bct was built from a
+    graph with other nodes or links.
     """
     m1, m2 = g.require_monitors()
     if bct is None:
         bct = biconnected_components(g)
-    (first1, prev1), (first2, prev2) = (_first_hits(g, m, bct)
-                                        for m in (m1, m2))
-    out = {}
-    for block in bct.blocks:
-        for m, first in ((m1, first1), (m2, first2)):
-            if block.bid not in first:
-                raise UnknownBlock("block nodes are unreachable from"
-                                   f" monitor {m!r}")
-        a1, a2 = first1[block.bid], first2[block.bid]
-        out[block.bid] = AgentAssignment(
-            block=block.bid,
-            monitors=(m1, m2),
-            agents=(a1, a2),
-            prev=(prev1, prev2),
-        )
-    return out
+    elif (bct.nodes, bct.links) != (g.nodes, g.links):
+        raise UnknownBlock("block-cut tree was built from another graph")
+    monitors = (m1, m2)
+    searches = _Searches(g)
+    return {bid: AgentAssignment(bid, monitors, pair, searches)
+            for bid, pair in enumerate(zip(_entries(bct, m1),
+                                           _entries(bct, m2)))}

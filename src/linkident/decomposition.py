@@ -65,22 +65,31 @@ class Block:
 
 @dataclass
 class BlockCutTree:
-    """Blocks, cut vertices, and their bipartite tree incidence."""
+    """Blocks, cut vertices, and their bipartite tree incidence.
+
+    The tree is rooted at the node its DFS started from. head[bid] is
+    the node through which block bid hangs from the rest of the tree
+    (the root for a block at the root), and up maps every other node
+    to the one block in which it is not the head: the block of the
+    DFS tree link into it. nodes and links are those of the graph the
+    tree was built from, and link_block maps each link id to the id
+    of its block.
+    """
 
     blocks: list
     cut_vertices: frozenset
     edges: tuple                    # (block id, cut vertex) pairs
-    _node_blocks: dict = field(repr=False, default_factory=dict)
+    nodes: tuple = field(repr=False)
+    links: dict = field(repr=False)
+    link_block: dict = field(repr=False)
+    head: list = field(repr=False)
+    up: dict = field(repr=False)
 
     def block(self, bid):
         try:
             return self.blocks[bid]
         except IndexError:
             raise UnknownBlock(f"no block {bid}") from None
-
-    def blocks_of_node(self, v):
-        """Ids of the blocks containing node v (several iff v cuts)."""
-        return self._node_blocks.get(v, ())
 
 
 def biconnected_components(g):
@@ -91,7 +100,8 @@ def biconnected_components(g):
     disc = {}
     low = {}
     stack = []
-    raw_blocks = []
+    raw_blocks = []                 # (link ids, head) as popped
+    tree_link = {}                  # node -> DFS tree link into it
     cuts = set()
     counter = [0]
 
@@ -104,6 +114,7 @@ def biconnected_components(g):
                 continue
             if w not in disc:
                 stack.append(eid)
+                tree_link[w] = eid
                 children += 1
                 dfs(w, eid)
                 low[v] = min(low[v], low[w])
@@ -116,7 +127,7 @@ def biconnected_components(g):
                         blk.append(e)
                         if e == eid:
                             break
-                    raw_blocks.append(blk)
+                    raw_blocks.append((blk, v))
             elif disc[w] < disc[v]:
                 stack.append(eid)
                 low[v] = min(low[v], disc[w])
@@ -126,21 +137,24 @@ def biconnected_components(g):
     if len(disc) < g.n:
         raise Disconnected("graph is not connected")
 
-    raw_blocks.sort(key=min)
+    raw_blocks.sort(key=lambda raw: min(raw[0]))
     blocks = []
-    node_blocks = {}
-    for bid, linkids in enumerate(raw_blocks):
+    head = []
+    link_block = {}
+    for bid, (linkids, v) in enumerate(raw_blocks):
+        linkids.sort()
         nodes = sorted({x for eid in linkids for x in g.links[eid]})
-        blocks.append(Block(bid=bid, links=tuple(sorted(linkids)),
+        blocks.append(Block(bid=bid, links=tuple(linkids),
                             nodes=tuple(nodes)))
-        for v in nodes:
-            node_blocks.setdefault(v, []).append(bid)
+        head.append(v)
+        link_block.update(dict.fromkeys(linkids, bid))
+    # a block holds the tree link into each of its nodes but its head
+    up = {x: link_block[eid] for x, eid in tree_link.items()}
     edges = tuple(sorted((b.bid, v) for b in blocks for v in b.nodes
                          if v in cuts))
-    tree = BlockCutTree(blocks=blocks, cut_vertices=frozenset(cuts),
-                        edges=edges)
-    tree._node_blocks = {v: tuple(bids) for v, bids in node_blocks.items()}
-    return tree
+    return BlockCutTree(blocks=blocks, cut_vertices=frozenset(cuts),
+                        edges=edges, nodes=g.nodes, links=g.links,
+                        link_block=link_block, head=head, up=up)
 
 
 # -- triconnected split ------------------------------------------------
@@ -151,13 +165,13 @@ def _endpoints(links):
 
 
 def _kind_of(links, nodes):
+    """Kind of a piece from its link and node counts alone. Every
+    piece is 2-connected, so every node has degree 2 or more, and a
+    piece on 3 or more nodes is a polygon exactly when no degree
+    exceeds 2, that is, when it has as many links as nodes."""
     if len(nodes) == 2:
         return BOND
-    deg = {v: 0 for v in nodes}
-    for u, w in links.values():
-        deg[u] += 1
-        deg[w] += 1
-    if all(d == 2 for d in deg.values()):
+    if len(links) == len(nodes):
         return POLYGON
     return RIGID
 
@@ -215,11 +229,11 @@ def _split_side(links, nodes, a, b):
 def _split(block_links):
     """Split into raw (unmerged) triconnected parts.
 
-    Returns (list of (link dict, kind) pieces, virtual id -> endpoint
-    pair); the dict is empty, and the list is the block alone, when
-    nothing was cut. A piece with a qualifying pair (a, b) is cut into
-    _split_side and the rest, each side getting one copy of a new
-    virtual link a-b.
+    Returns (list of (link dict, kind, sorted nodes) pieces, virtual
+    id -> endpoint pair); the dict is empty, and the list is the
+    block alone, when nothing was cut. A piece with a qualifying pair
+    (a, b) is cut into _split_side and the rest, each side getting
+    one copy of a new virtual link a-b.
 
     Each piece's search starts at the smaller node a of the pair that
     cut its parent. That skips no qualifying pair: a pair (x, y) with
@@ -239,12 +253,12 @@ def _split(block_links):
         nodes = sorted(_endpoints(links))
         kind = _kind_of(links, nodes)
         if kind != RIGID:
-            out.append((links, kind))
+            out.append((links, kind, nodes))
             continue
         pair = _find_split_pair(
             links, nodes, nodes[0] if start is None else start)
         if pair is None:
-            out.append((links, RIGID))
+            out.append((links, RIGID, nodes))
             continue
         a, b = pair
         side1 = _split_side(links, nodes, a, b)
@@ -271,13 +285,13 @@ def _merge_same_kind(comps, vpairs):
                     holders.setdefault(eid, []).append(i)
         for vid in sorted(holders):
             i, j = holders[vid]
-            (li, ki), (lj, kj) = comps[i], comps[j]
+            (li, ki, ni), (lj, kj, nj) = comps[i], comps[j]
             if ki != RIGID and ki == kj:
                 merged = {**li, **lj}
                 del merged[vid]
                 del vpairs[vid]
                 comps = [c for k, c in enumerate(comps) if k not in (i, j)]
-                comps.append((merged, ki))
+                comps.append((merged, ki, sorted({*ni, *nj})))
                 changed = True
                 break
     return comps, vpairs
@@ -346,38 +360,44 @@ def decompose_links(block_links):
     Core of triconnected_components that preserves the caller's link
     ids, for decomposing one block of a larger graph in place. The
     links must form a biconnected graph; this is not re-checked here.
-    A block the split leaves uncut is its one component, so merging,
-    renumbering and sorting are skipped for it.
+    A block the split leaves uncut is returned as its one component
+    directly, with no merging, renumbering or pairing to do.
     """
     comps, vpairs = _split(block_links)
-    if vpairs:
-        comps, vpairs = _merge_same_kind(comps, vpairs)
+    if not vpairs:
+        [(links, kind, nodes)] = comps
+        return TriconnectedDecomposition(
+            components=[TriComponent(cid=0, kind=kind, nodes=tuple(nodes),
+                                     links=links, virtuals=frozenset())],
+            virtual_pairing={}, split_pairs={0: []}, pair_nodes={})
 
-        # renumber surviving virtual ids compactly above the real ids,
-        # in creation order (deterministic given the deterministic split)
-        base = max(block_links) + 1
-        remap = {old: base + i for i, old in enumerate(sorted(vpairs))}
-        comps = [({remap.get(eid, eid): pair for eid, pair in c.items()},
-                  kind) for c, kind in comps]
-        vpairs = {remap[old]: pair for old, pair in vpairs.items()}
+    comps, vpairs = _merge_same_kind(comps, vpairs)
 
-        def comp_key(piece):
-            c = piece[0]
-            reals = sorted(eid for eid in c if eid not in vpairs)
-            if reals:
-                return (0, reals[0])
-            return (1, tuple(sorted(_endpoints(c))))
+    # renumber surviving virtual ids compactly above the real ids,
+    # in creation order (deterministic given the deterministic split)
+    base = max(block_links) + 1
+    remap = {old: base + i for i, old in enumerate(sorted(vpairs))}
+    comps = [({remap.get(eid, eid): pair for eid, pair in c.items()},
+              kind, nodes) for c, kind, nodes in comps]
+    vpairs = {remap[old]: pair for old, pair in vpairs.items()}
 
-        comps.sort(key=comp_key)
+    def comp_key(piece):
+        c, _, nodes = piece
+        reals = sorted(eid for eid in c if eid not in vpairs)
+        if reals:
+            return (0, reals[0])
+        return (1, tuple(nodes))
+
+    comps.sort(key=comp_key)
 
     components = []
     pairing = {}
     split_pairs = {}
-    for cid, (links, kind) in enumerate(comps):
+    for cid, (links, kind, nodes) in enumerate(comps):
         virtual = frozenset(eid for eid in links if eid in vpairs)
         components.append(TriComponent(
-            cid=cid, kind=kind, nodes=tuple(sorted(_endpoints(links))),
-            links=links, virtuals=virtual))
+            cid=cid, kind=kind, nodes=tuple(nodes), links=links,
+            virtuals=virtual))
         for vid in virtual:
             pairing.setdefault(vid, []).append(cid)
         split_pairs[cid] = sorted({vpairs[vid] for vid in virtual})

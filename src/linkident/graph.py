@@ -44,12 +44,21 @@ def _check_monitors(monitors, nodes):
 
 
 def _clean_metrics(metrics, links):
-    """Fraction per link id, or None for no metrics at all."""
+    """Fraction per link id, or None for no metrics at all. A value
+    that is not a finite rational (a boolean, None, nan, an infinity,
+    a string Fraction cannot read) raises GraphError."""
     clean = {}
     for eid, value in metrics.items():
         if eid not in links:
             raise GraphError(f"metric for unknown link id {eid}")
-        clean[eid] = Fraction(value)
+        try:
+            if isinstance(value, bool):
+                raise TypeError("a boolean is not a metric")
+            clean[eid] = Fraction(value)
+        except (TypeError, ValueError, OverflowError,
+                ZeroDivisionError) as exc:
+            raise GraphError(f"bad metric for link {eid}: {value!r}"
+                             f" ({exc})") from None
     if clean and len(clean) != len(links):
         raise GraphError("metrics must cover every link")
     return clean or None

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .agents import locate_agents
 from .certify import certified_identifiable
@@ -289,10 +290,9 @@ def classify_component(st, bid, cid, agents, path_cap=DEFAULT_PATH_CAP):
 # -- verdict assembly ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkVerdict:
+class LinkVerdict(NamedTuple):
     """Verdict for one link: identifiable or not, and the rule that
-    decided it."""
+    decided it. A named tuple, so immutable and hashable."""
 
     link: int
     endpoints: tuple
@@ -486,12 +486,10 @@ def analyze(g, path_cap=DEFAULT_PATH_CAP, structure=None):
         _analyze_block(structure, block, assignments[block.bid].agents,
                        (m1, m2), path_cap, claims, categories,
                        fallback_blocks)
-    home = {eid: b.bid for b in structure.bct.blocks for eid in b.links}
-    verdicts = {}
-    for eid, pair in g.links.items():
-        verdicts[eid] = LinkVerdict(link=eid, endpoints=pair,
-                                    identifiable=claims.verdicts[eid],
-                                    rule=claims.rules[eid], block=home[eid])
+    home = structure.bct.link_block
+    verdicts = {eid: LinkVerdict(eid, pair, claims.verdicts[eid],
+                                 claims.rules[eid], home[eid])
+                for eid, pair in g.links.items()}
     return IdentifiabilityReport(graph=g, monitors=(m1, m2),
                                  verdicts=verdicts,
                                  categories=categories,

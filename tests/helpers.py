@@ -78,6 +78,15 @@ def two_triangles(monitors=None):
                  monitors=monitors)
 
 
+def triangle_chain(blocks):
+    """Triangles (2i, 2i+1, 2i+2) glued at their even nodes."""
+    edges = []
+    for i in range(blocks):
+        edges += [(2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2),
+                  (2 * i, 2 * i + 2)]
+    return Graph(range(2 * blocks + 1), edges)
+
+
 def k23(monitors=None):
     """Complete bipartite graph on parts {0, 1} and {2, 3, 4}."""
     return Graph(range(5), [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)],

@@ -11,6 +11,7 @@ from linkident import (
     UnknownBlock,
     analyze,
     biconnected_components,
+    enumerate_all_connected_graphs,
     gnp_connected,
     grid,
     identifiable_links_bruteforce,
@@ -18,7 +19,8 @@ from linkident import (
 )
 from linkident import agents as agents_module
 
-from helpers import c5, path_graph, triangle, two_triangles
+from helpers import c5, path_graph, triangle, triangle_chain, \
+    two_triangles
 
 
 def test_agents_of_two_triangles_with_far_monitors():
@@ -112,16 +114,7 @@ def test_single_agent_blocks_carry_no_usable_measurements():
     assert checked > 5
 
 
-# -- one BFS per monitor against the per-block reference ----------------
-
-
-def triangle_chain(blocks):
-    """Triangles (2i, 2i+1, 2i+2) glued at their even nodes."""
-    edges = []
-    for i in range(blocks):
-        edges += [(2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2),
-                  (2 * i, 2 * i + 2)]
-    return Graph(range(2 * blocks + 1), edges)
+# -- agents off the block-cut tree against the per-block reference ------
 
 
 def entry_by_block_bfs(g, m, block_nodes):
@@ -166,6 +159,21 @@ def test_agents_match_per_block_search_on_triangle_chains():
                     triangle_chain(blocks).with_monitors(*pair))
 
 
+def test_agents_match_per_block_search_on_every_small_placement():
+    """Every ordered monitor pair of every connected graph on 2..5
+    nodes: the 15,042 instances of the exhaustive sweep."""
+    count = 0
+    for n in range(2, 6):
+        for g in enumerate_all_connected_graphs(n):
+            for m1 in g.nodes:
+                for m2 in g.nodes:
+                    if m1 != m2:
+                        assert_matches_per_block_search(
+                            g.with_monitors(m1, m2))
+                        count += 1
+    assert count == 15042
+
+
 def test_agents_match_per_block_search_on_random_graphs():
     for i in range(60):
         rng = random.Random(7900 + i)
@@ -185,10 +193,25 @@ def test_tree_of_another_graph_raises_unknown_block():
                       biconnected_components(path_graph(6)))
 
 
+def test_tree_of_a_graph_with_other_nodes_raises_unknown_block():
+    """Equal links do not make the same graph: a monitor on a node the
+    tree never saw has no walk up the tree."""
+    tri = triangle()
+    g = Graph(range(4), [tri.links[eid] for eid in sorted(tri.links)],
+              monitors=(0, 3))
+    assert g.links == tri.links
+    with pytest.raises(UnknownBlock):
+        locate_agents(g, biconnected_components(tri))
+
+
 def test_one_search_per_monitor_on_a_long_chain(monkeypatch):
+    """The agents come off the block-cut tree with no graph search;
+    reading every block's witness paths then runs one BFS per
+    monitor, shared by all blocks."""
     g = triangle_chain(300).with_monitors(0, 600)
     bct = biconnected_components(g)
     expected = locate_agents(g, bct)
+    expected_paths = [expected[b.bid].connecting_paths for b in bct.blocks]
     calls = []
     original = Graph.neighbors
 
@@ -197,13 +220,17 @@ def test_one_search_per_monitor_on_a_long_chain(monkeypatch):
         return original(self, v)
 
     monkeypatch.setattr(Graph, "neighbors", counted)
-    assert locate_agents(g, bct) == expected
+    agents = locate_agents(g, bct)
+    assert agents == expected
+    assert calls == []
+    paths = [agents[b.bid].connecting_paths for b in bct.blocks]
+    assert paths == expected_paths
     assert 0 < len(calls) <= 2 * (g.n + 1)
     # monitors inside the only block need no search at all
     ring = c5().with_monitors(0, 2)
     ring_bct = biconnected_components(ring)
     calls.clear()
-    locate_agents(ring, ring_bct)
+    assert locate_agents(ring, ring_bct)[0].connecting_paths == ((0,), (2,))
     assert calls == []
 
 

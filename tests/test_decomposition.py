@@ -44,9 +44,10 @@ def test_blocks_of_two_triangles():
         (1, (3, 4, 5), (2, 3, 4)),
     ]
     assert bct.edges == ((0, 2), (1, 2))
-    assert bct.blocks_of_node(2) == (0, 1)
-    assert bct.blocks_of_node(0) == (0,)
-    assert bct.blocks_of_node(99) == ()
+    # rooted at node 0: block 1 hangs from block 0 at the cut vertex 2
+    assert bct.head == [0, 2]
+    assert bct.up == {1: 0, 2: 0, 3: 1, 4: 1}
+    assert bct.link_block == {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
     assert bct.block(0).bid == 0
     with pytest.raises(UnknownBlock):
         bct.block(5)
@@ -81,7 +82,7 @@ def test_a_single_node_has_no_blocks():
     bct = biconnected_components(Graph([0], []))
     assert bct.blocks == [] and bct.edges == ()
     assert bct.cut_vertices == frozenset()
-    assert bct.blocks_of_node(0) == ()
+    assert bct.head == [] and bct.up == {} and bct.link_block == {}
 
 
 def test_block_links_partition_the_graph():
@@ -391,6 +392,38 @@ def test_each_split_side_is_the_first_class_of_two_or_more_links(
     for links in [*small_blocks(), *larger_blocks()]:
         decompose_links(links)
     assert len(splits) > 500
+
+
+def degree_kind(links, nodes):
+    """Reference kind of a piece from its node degrees: a bond on two
+    nodes, a polygon when every degree is 2, rigid otherwise."""
+    if len(nodes) == 2:
+        return "bond"
+    degree = dict.fromkeys(nodes, 0)
+    for u, v in links.values():
+        degree[u] += 1
+        degree[v] += 1
+    return "polygon" if set(degree.values()) == {2} else "rigid"
+
+
+def test_kind_from_counts_matches_the_degree_rule(monkeypatch):
+    """_kind_of reads only the link and node counts; on every piece
+    the split builds from both corpora above it agrees with the
+    degrees."""
+    pieces = []
+    original = decomposition._kind_of
+
+    def checked(links, nodes):
+        kind = original(links, nodes)
+        assert kind == degree_kind(links, nodes), (links, nodes)
+        pieces.append(kind)
+        return kind
+
+    monkeypatch.setattr(decomposition, "_kind_of", checked)
+    for links in [*small_blocks(), *larger_blocks()]:
+        decompose_links(links)
+    assert {"bond", "polygon", "rigid"} <= set(pieces)
+    assert len(pieces) > 2000
 
 
 def test_split_search_finds_a_pair_through_parallel_links(monkeypatch):

@@ -82,6 +82,26 @@ def test_metrics_must_cover_every_link():
     assert g.metrics == {0: Fraction(3, 4)}
 
 
+def test_bad_metric_values_are_graph_errors():
+    """Values Fraction cannot read, and booleans, fail as GraphError in
+    the constructor and in with_metrics, not as Fraction's own
+    errors; from_json keeps its ParseError for them."""
+    g = Graph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+    for bad in (float("inf"), float("-inf"), float("nan"), "x", "1/0",
+                None, True, False, [1]):
+        metrics = {0: bad, 1: 1, 2: 2}
+        with pytest.raises(GraphError, match="bad metric for link 0"):
+            g.with_metrics(metrics)
+        with pytest.raises(GraphError, match="bad metric for link 0"):
+            Graph(g.nodes, [g.links[e] for e in sorted(g.links)],
+                  metrics=metrics)
+    with pytest.raises(ParseError):
+        Graph.from_json({"nodes": [0, 1], "edges": [[0, 1]],
+                         "metrics": {"0": True}})
+    assert g.with_metrics({0: 1.5, 1: "2/3", 2: Fraction(5)}).metrics == {
+        0: Fraction(3, 2), 1: Fraction(2, 3), 2: Fraction(5)}
+
+
 def test_graph_is_immutable():
     g = triangle()
     with pytest.raises(AttributeError):

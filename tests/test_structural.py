@@ -2,6 +2,7 @@
 agreement with the exact oracle on pinned instances."""
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -29,7 +30,7 @@ from linkident.graph import node_adjacency, reachable
 from linkident.structural import _Claims
 
 from helpers import bowtie_on_edge, path_graph, prism, triangle, \
-    two_triangles
+    triangle_chain, two_triangles
 
 
 def rules_of(report):
@@ -400,6 +401,47 @@ def test_analyze_asks_no_fan_question(monkeypatch):
     fresh = [analyze(inst).to_json() for inst in instances]
     shared = [analyze(inst, structure=st).to_json() for inst in instances]
     assert shared == fresh
+
+
+def test_analyze_reaches_each_layer_through_its_structural_name(
+        monkeypatch):
+    """analyze calls the block-cut tree, the triconnected split and
+    the agent search through the names structural binds: once, once
+    per triangle and once on a 10-triangle chain. perfbench's
+    decomposition.bct, decomposition.tri_split and agents.locate
+    spans wrap exactly these names, so this keeps its layer figures
+    attributed to the right layer."""
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(structural, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("biconnected_components", "decompose_links",
+                 "locate_agents"):
+        monkeypatch.setattr(structural, name, counting(name))
+    analyze(triangle_chain(10).with_monitors(0, 20))
+    assert calls == {"biconnected_components": 1, "decompose_links": 10,
+                     "locate_agents": 1}
+
+
+def test_link_verdicts_are_named_tuples():
+    """A verdict reads by field name, compares and hashes as a tuple,
+    and keeps the repr it had as a frozen dataclass."""
+    rep = analyze(triangle(monitors=(0, 1)))
+    v = rep.verdicts[0]
+    assert v == (0, (0, 1), True, "direct-agent-link", 0)
+    assert (v.link, v.endpoints, v.identifiable, v.rule, v.block) == v
+    assert repr(v) == ("LinkVerdict(link=0, endpoints=(0, 1),"
+                       " identifiable=True, rule='direct-agent-link',"
+                       " block=0)")
+    assert len({v, rep.verdicts[0]}) == 1
+    with pytest.raises(AttributeError):
+        v.rule = "other"
 
 
 def test_claims_keep_the_first_rule_and_reject_conflicts():
