@@ -89,6 +89,9 @@ def _load_graph(path, monitors):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}:"
                          f" {exc.msg}")
+    except ValueError as exc:
+        # an integer literal longer than sys.get_int_max_str_digits()
+        raise ParseError(f"{path}: {exc}")
     g = Graph.from_json(data)
     if monitors is not None:
         g = g.with_monitors(*monitors)

@@ -14,6 +14,8 @@ to links by these ids.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -43,20 +45,40 @@ def _check_monitors(monitors, nodes):
     return m1, m2
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
+def _parse_metric(value):
+    """Fraction of one metric value. A value that is not a finite
+    rational (a boolean, None, nan, an infinity, a string Fraction
+    cannot read) raises TypeError, ValueError, OverflowError or
+    ZeroDivisionError. So does a string whose exponent exceeds
+    sys.get_int_max_str_digits() in size, the bound json puts on
+    integer literals: Fraction would build 10**exponent, an integer of
+    about 400 MB for "1e999999999"."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a metric")
+    if isinstance(value, str):
+        exp = _EXPONENT.search(value)
+        limit = sys.get_int_max_str_digits()
+        if exp and limit and abs(int(exp.group(1))) > limit:
+            raise ValueError(f"exponent beyond {limit} in size")
+    return Fraction(value)
+
+
+_METRIC_ERRORS = (TypeError, ValueError, OverflowError, ZeroDivisionError)
+
+
 def _clean_metrics(metrics, links):
     """Fraction per link id, or None for no metrics at all. A value
-    that is not a finite rational (a boolean, None, nan, an infinity,
-    a string Fraction cannot read) raises GraphError."""
+    _parse_metric rejects raises GraphError."""
     clean = {}
     for eid, value in metrics.items():
         if eid not in links:
             raise GraphError(f"metric for unknown link id {eid}")
         try:
-            if isinstance(value, bool):
-                raise TypeError("a boolean is not a metric")
-            clean[eid] = Fraction(value)
-        except (TypeError, ValueError, OverflowError,
-                ZeroDivisionError) as exc:
+            clean[eid] = _parse_metric(value)
+        except _METRIC_ERRORS as exc:
             raise GraphError(f"bad metric for link {eid}: {value!r}"
                              f" ({exc})") from None
     if clean and len(clean) != len(links):
@@ -311,13 +333,9 @@ class Graph:
                 raise ParseError("metrics must be an object")
             parsed = {}
             for key, raw in metrics.items():
-                if isinstance(raw, bool):
-                    raise ParseError(f"bad metric {key!r}: {raw!r}")
                 try:
-                    eid = int(key)
-                    parsed[eid] = Fraction(raw)
-                except (ValueError, ZeroDivisionError, TypeError,
-                        OverflowError) as exc:
+                    parsed[int(key)] = _parse_metric(raw)
+                except _METRIC_ERRORS as exc:
                     raise ParseError(f"bad metric {key!r}: {exc}") from None
             metrics = parsed
         try:

@@ -33,6 +33,14 @@ own links, and fall back otherwise. The oracle verdict is never used
 for a direct agent-to-agent link, whose status depends on the monitors
 being real rather than effective.
 
+A 2-connected simple block with as many links as nodes has every node
+of degree 2, so it is a single cycle. Its decomposition is one
+polygon, component 0, holding both agents, so those two counts settle
+it without a split. In a triangle the
+agents are two of its nodes, the direct link joins them, and the
+other two links each touch an agent: agent-pair exterior. A longer
+cycle is a polygon on 4 or more nodes and falls back.
+
 Both exact questions, the rigid check and the block oracle, are first
 put to certify.certified_identifiable; the oracle enumerates paths only
 where those certificates do not settle the answer.
@@ -413,6 +421,17 @@ def _mark(g, d, comp, cls, agents, direct, claims, deferred):
             claims.claim(eid, True, rule)
 
 
+def _fall_back(st, block, agents, direct, path_cap, claims,
+               fallback_blocks):
+    """Claim every link of block but the direct one from the exact
+    oracle, run on the block alone between its agents."""
+    fallback_blocks.add(block.bid)
+    ident = st.block_oracle(block.bid, agents, path_cap)
+    for eid in block.links:
+        if eid != direct:
+            claims.claim(eid, eid in ident, RULE_FALLBACK)
+
+
 def _analyze_block(st, block, agents, monitors, path_cap, claims,
                    categories, fallback_blocks):
     a1, a2 = agents
@@ -433,6 +452,19 @@ def _analyze_block(st, block, agents, monitors, path_cap, claims,
         categories[block.bid] = ((None, Category.SINGLE_LINK),)
         return
 
+    if len(block.links) == len(block.nodes):
+        # a cycle: one polygon holding both agents (module docstring)
+        if len(block.links) == 3:
+            categories[block.bid] = ((0, Category.AGENT_PAIR),)
+            for eid in block.links:
+                if eid != direct:
+                    claims.claim(eid, False, RULE_PAIR_EXTERIOR)
+        else:
+            categories[block.bid] = ((0, Category.FALLBACK),)
+            _fall_back(st, block, agents, direct, path_cap, claims,
+                       fallback_blocks)
+        return
+
     d = st.tri(block.bid)
     classified = []
     for comp in d.components:
@@ -445,12 +477,8 @@ def _analyze_block(st, block, agents, monitors, path_cap, claims,
                                   for comp, cls in classified)
 
     if any(cls.category is Category.FALLBACK for _, cls in classified):
-        fallback_blocks.add(block.bid)
-        ident = st.block_oracle(block.bid, agents, path_cap)
-        for eid in block.links:
-            if eid == direct:
-                continue
-            claims.claim(eid, eid in ident, RULE_FALLBACK)
+        _fall_back(st, block, agents, direct, path_cap, claims,
+                   fallback_blocks)
         return
 
     deferred = set()

@@ -12,6 +12,8 @@ ReferenceEchelon keeps echelon rows, where the library's
 IntegerEchelon keeps a nullspace basis, and reference_recovery sums
 Fraction metrics per path and builds dense witnesses, where the oracle
 feeds integer sums through one live row and builds sparse ones.
+previous_certified_identifiable and previous_analyze_block keep
+earlier versions of library steps as references for the current ones.
 """
 
 from bisect import bisect_left
@@ -26,9 +28,19 @@ from linkident import (
     enumerate_simple_paths,
 )
 from linkident.certify import _switch_seeds, _tree_seeds
+from linkident.decomposition import BOND
 from linkident.graph import node_adjacency, reachable
 from linkident.linalg import IntegerEchelon
 from linkident.oracle import _indexed_adjacency, build_measurement_matrix
+from linkident.structural import (
+    RULE_DEFERRED,
+    RULE_DIRECT,
+    RULE_FALLBACK,
+    RULE_TOO_FEW,
+    Category,
+    _mark,
+    classify_component,
+)
 
 
 # -- small named graphs --------------------------------------------------
@@ -85,6 +97,20 @@ def triangle_chain(blocks):
         edges += [(2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2),
                   (2 * i, 2 * i + 2)]
     return Graph(range(2 * blocks + 1), edges)
+
+
+def k4_chain(blocks):
+    """Complete graphs on (3i, ..., 3i+3) glued at nodes 3i: a chain
+    of rigid blocks, none of them a cycle."""
+    edges = []
+    for i in range(blocks):
+        edges += list(combinations(range(3 * i, 3 * i + 4), 2))
+    return Graph(range(3 * blocks + 1), edges)
+
+
+def cycle(k):
+    """The cycle 0, 1, ..., k-1."""
+    return Graph(range(k), [(i, (i + 1) % k) for i in range(k)])
 
 
 def k23(monitors=None):
@@ -502,3 +528,63 @@ def previous_certified_identifiable(sub):
                    _switch_seeds(adj, s, t, eid, idx[u], idx[v])):
                 return rest
     return None
+
+
+# -- the block step before cycle blocks settled from their size ------------
+# Kept verbatim as the reference for the current step: every block with
+# two distinct agents, cycles included, goes through the triconnected
+# split, classification and marking.
+
+
+def previous_analyze_block(st, block, agents, monitors, path_cap, claims,
+                           categories, fallback_blocks):
+    a1, a2 = agents
+    if a1 == a2:
+        for eid in block.links:
+            claims.claim(eid, False, RULE_TOO_FEW)
+        categories[block.bid] = ()
+        return
+
+    direct = st.g.link_between(a1, a2)
+    if direct is not None:
+        both_monitors = {a1, a2} == set(monitors)
+        claims.claim(direct, both_monitors, RULE_DIRECT)
+
+    if len(block.links) == 1:
+        # a bridge between distinct agents is exactly the direct link
+        assert direct == block.links[0]
+        categories[block.bid] = ((None, Category.SINGLE_LINK),)
+        return
+
+    d = st.tri(block.bid)
+    classified = []
+    for comp in d.components:
+        if comp.kind == BOND:
+            continue
+        cls = classify_component(st, block.bid, comp.cid, agents,
+                                 path_cap)
+        classified.append((comp, cls))
+    categories[block.bid] = tuple((comp.cid, cls.category)
+                                  for comp, cls in classified)
+
+    if any(cls.category is Category.FALLBACK for _, cls in classified):
+        fallback_blocks.add(block.bid)
+        ident = st.block_oracle(block.bid, agents, path_cap)
+        for eid in block.links:
+            if eid == direct:
+                continue
+            claims.claim(eid, eid in ident, RULE_FALLBACK)
+        return
+
+    deferred = set()
+    for comp, cls in classified:
+        _mark(st.g, d, comp, cls, agents, direct, claims, deferred)
+
+    unresolved = sorted(eid for eid in deferred if eid not in claims)
+    if unresolved:
+        ident = st.block_oracle(block.bid, agents, path_cap)
+        for eid in unresolved:
+            claims.claim(eid, eid in ident, RULE_DEFERRED)
+
+    missing = [eid for eid in block.links if eid not in claims]
+    assert not missing, f"links {missing} of block {block.bid} unmarked"

@@ -1,6 +1,7 @@
 """Command line interface, driven in process through main(argv)."""
 
 import json
+import sys
 
 import pytest
 
@@ -144,6 +145,26 @@ def test_non_finite_or_boolean_metrics_are_input_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError: bad metric '0'"), raw
         assert err.count("\n") == 1, raw
+
+
+def test_integer_literals_beyond_the_digit_limit_are_input_errors(
+        tmp_path, capsys):
+    """json refuses an integer literal longer than
+    sys.get_int_max_str_digits() with a plain ValueError, in nodes or
+    in metrics alike; the commands report it as one ParseError line."""
+    huge = "1" * (sys.get_int_max_str_digits() + 1)
+    docs = ('{"nodes": [0, 1, ' + huge + '], "edges": [[0, 1]],'
+            ' "monitors": [0, 1]}',
+            '{"nodes": [0, 1], "edges": [[0, 1]], "monitors": [0, 1],'
+            ' "metrics": {"0": ' + huge + '}}')
+    path = tmp_path / "huge.json"
+    for doc in docs:
+        path.write_text(doc)
+        for command in ("oracle", "analyze"):
+            assert main([command, "--input", str(path)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ParseError: "), command
+            assert err.count("\n") == 1, command
 
 
 def test_exhaustive_three_nodes_is_clean(capsys):

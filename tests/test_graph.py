@@ -1,6 +1,7 @@
 """Graph construction, validation, derivation, and JSON round trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,30 @@ def test_bad_metric_values_are_graph_errors():
                          "metrics": {"0": True}})
     assert g.with_metrics({0: 1.5, 1: "2/3", 2: Fraction(5)}).metrics == {
         0: Fraction(3, 2), 1: Fraction(2, 3), 2: Fraction(5)}
+
+
+def test_metric_exponents_beyond_the_digit_limit_are_rejected():
+    """A metric string whose exponent exceeds sys.get_int_max_str_digits()
+    in size is refused before Fraction builds 10**exponent: GraphError
+    from the constructor and with_metrics, ParseError from from_json.
+    Without the check the first value parses in well under a
+    millisecond, so the test fails on it before it reaches the last,
+    which would build an integer of about 400 MB."""
+    limit = sys.get_int_max_str_digits()
+    g = Graph([0, 1], [(0, 1)])
+    for bad in (f"1e{limit + 1}", f"-7E-{limit + 1}",
+                f" 2.5e+{limit + 1} ", "1e999999999"):
+        with pytest.raises(GraphError, match="exponent"):
+            g.with_metrics({0: bad})
+        with pytest.raises(GraphError, match="exponent"):
+            Graph([0, 1], [(0, 1)], metrics={0: bad})
+        with pytest.raises(ParseError, match="exponent"):
+            Graph.from_json({"nodes": [0, 1], "edges": [[0, 1]],
+                             "metrics": {"0": bad}})
+    assert g.with_metrics({0: "1e300"}).metrics == {0: Fraction(10) ** 300}
+    assert Graph.from_json({"nodes": [0, 1], "edges": [[0, 1]],
+                            "metrics": {"0": f"1e-{limit}"}}).metrics == {
+        0: Fraction(1, 10 ** limit)}
 
 
 def test_graph_is_immutable():

@@ -29,8 +29,8 @@ from linkident import structural
 from linkident.graph import node_adjacency, reachable
 from linkident.structural import _Claims
 
-from helpers import bowtie_on_edge, path_graph, prism, triangle, \
-    triangle_chain, two_triangles
+from helpers import bowtie_on_edge, cycle, k4_chain, path_graph, prism, \
+    previous_analyze_block, triangle, triangle_chain, two_triangles
 
 
 def rules_of(report):
@@ -403,30 +403,102 @@ def test_analyze_asks_no_fan_question(monkeypatch):
     assert shared == fresh
 
 
-def test_analyze_reaches_each_layer_through_its_structural_name(
-        monkeypatch):
-    """analyze calls the block-cut tree, the triconnected split and
-    the agent search through the names structural binds: once, once
-    per triangle and once on a 10-triangle chain. perfbench's
-    decomposition.bct, decomposition.tri_split and agents.locate
-    spans wrap exactly these names, so this keeps its layer figures
-    attributed to the right layer."""
+def _count_calls(monkeypatch, owner, names):
+    """Counter of calls to each named attribute of owner, patched to
+    count for the rest of the test."""
     calls = Counter()
 
     def counting(name):
-        original = getattr(structural, name)
+        original = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return counted
 
-    for name in ("biconnected_components", "decompose_links",
-                 "locate_agents"):
-        monkeypatch.setattr(structural, name, counting(name))
-    analyze(triangle_chain(10).with_monitors(0, 20))
+    for name in names:
+        monkeypatch.setattr(owner, name, counting(name))
+    return calls
+
+
+def test_analyze_reaches_each_layer_through_its_structural_name(
+        monkeypatch):
+    """analyze calls the block-cut tree, the triconnected split and
+    the agent search through the names structural binds: once, once
+    per K4 and once on a chain of 10 K4s. perfbench's
+    decomposition.bct, decomposition.tri_split and agents.locate
+    spans wrap exactly these names, so this keeps its layer figures
+    attributed to the right layer."""
+    calls = _count_calls(monkeypatch, structural, (
+        "biconnected_components", "decompose_links", "locate_agents"))
+    analyze(k4_chain(10).with_monitors(0, 30))
     assert calls == {"biconnected_components": 1, "decompose_links": 10,
                      "locate_agents": 1}
+
+
+def test_cycle_blocks_are_settled_without_a_split(monkeypatch):
+    """A triangle block takes no triconnected split and no
+    classification; a longer cycle goes straight to one block oracle
+    call under a single fallback category."""
+    calls = _count_calls(monkeypatch, structural, (
+        "decompose_links", "classify_component"))
+    oracle_calls = _count_calls(monkeypatch, Structure, ("block_oracle",))
+    rep = analyze(triangle_chain(300).with_monitors(0, 600))
+    assert calls == {}
+    assert all(cats == ((0, Category.AGENT_PAIR),)
+               for cats in rep.categories.values())
+    rep = analyze(cycle(6).with_monitors(0, 3))
+    assert calls == {}
+    assert oracle_calls == {"block_oracle": 1}
+    assert rep.categories == {0: ((0, Category.FALLBACK),)}
+    assert rep.fallback_blocks == {0}
+
+
+def _block_outcomes(groups):
+    """(verdicts, categories, fallback blocks) of analyze on every
+    (graph, placements) pair of groups, each placement twice: with a
+    fresh Structure and with one shared by the graph's placements."""
+    out = []
+    for g, placements in groups:
+        shared = Structure(g)
+        for m1, m2 in placements:
+            inst = g.with_monitors(m1, m2)
+            for st in (None, shared):
+                rep = analyze(inst, structure=st)
+                out.append(((g.links, m1, m2, st is None), rep.verdicts,
+                            rep.categories, rep.fallback_blocks))
+    return out
+
+
+def test_cycle_blocks_settle_as_the_split_settled_them(monkeypatch):
+    """Verdicts, categories and fallback blocks match the block step
+    that split, classified and marked every block, cycles included:
+    on every placement of every connected graph on 2..5 nodes,
+    triangle chains with monitors at the ends, at cut vertices and at
+    apexes, cycles on 4..8 nodes, and a K4, a bridge, a C5 and a
+    triangle in a row."""
+    def every_pair(g):
+        return (g, list(permutations(g.nodes, 2)))
+
+    mixed = Graph(range(11), [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),     # K4
+        (3, 4),                                             # bridge
+        (4, 5), (5, 6), (6, 7), (7, 8), (4, 8),             # C5
+        (8, 9), (9, 10), (8, 10)])                          # triangle
+    groups = [every_pair(g) for n in range(2, 6)
+              for g in enumerate_all_connected_graphs(n)]
+    groups += [every_pair(triangle_chain(k)) for k in (2, 3, 6)]
+    groups.append((triangle_chain(40),
+                   [(0, 80), (80, 0), (2, 78), (1, 79), (1, 2), (41, 40)]))
+    groups += [every_pair(cycle(k)) for k in range(4, 9)]
+    groups.append(every_pair(mixed))
+
+    now = _block_outcomes(groups)
+    monkeypatch.setattr(structural, "_analyze_block", previous_analyze_block)
+    before = _block_outcomes(groups)
+    assert len(now) == len(before) > 2 * 15042
+    differ = [a[0] for a, b in zip(now, before) if a != b]
+    assert not differ, differ[:5]
 
 
 def test_link_verdicts_are_named_tuples():
