@@ -27,17 +27,25 @@ every simple m1-m2 path row:
     two links a and b, since every path through that node uses both.
 
 certified_identifiable first asks the switch of every link outside the
-ceiling. When that does not settle everything, it puts a unit row for
-each settled link into one IntegerEchelon and feeds short genuine
-simple paths, glued from two breadth-first trees, then the switch
-paths themselves. Every row lies in the row space of the real paths,
-so null(all paths) lies in the nullspace the echelon keeps. It stops
-once that nullspace is exact: either every column it touches lies in
-the ceiling, or its dimension equals the rank of the certified null
-vectors, which lie in null(all paths). The identifiable set is then
-the links no nullspace vector touches, and every other link, interior
-links included, is proven unidentifiable. When the seeds run out
-first it returns None, and the caller enumerates.
+ceiling. When that does not settle everything, it feeds one
+IntegerEchelon, as masks in one loop, a unit row for each settled
+link, then short genuine simple paths, glued from two breadth-first
+trees, then the switch paths themselves. Every row lies in the row
+space of the real paths, so null(all paths) lies in the nullspace the
+echelon keeps. The certified null vectors go as rows into a second
+IntegerEchelon, whose rank is the dimension they span inside
+null(all paths). The feed stops once the first nullspace is exact:
+either every column it touches lies in the ceiling, or its dimension
+equals that rank. The identifiable set is then the links no nullspace
+vector touches, and every other link, interior links included, is
+proven unidentifiable. When the seeds run out first it returns None,
+and the caller enumerates.
+
+Monitors that no path joins also get None, so that the oracle raises
+NoPath for them, although the test runs from the first row on. A unit
+row is fed only for the direct link, a path on its own, or for a
+switch-proven link, whose four switch paths are paths; so any row fed
+means a path exists.
 """
 
 from __future__ import annotations
@@ -118,40 +126,19 @@ def _switch_seeds(adj, s, t, eid, a, b):
     return ()
 
 
-def _degree_two_links(adj, s, t):
-    """(a, b) for each node other than s and t with exactly two links
-    a and b: e_a - e_b is a null vector of every s-t path."""
+def _null_vectors(adj, s, t, ceiling, m):
+    """Integer rows over m links of the certified null vectors of every
+    s-t path: the ceiling ({link id: coefficient}) first, then e_a - e_b
+    for each node other than s and t with exactly two links a and b."""
+    row = [0] * m
+    for eid, c in ceiling.items():
+        row[eid] = c
+    yield row
     for w, nbrs in enumerate(adj):
         if len(nbrs) == 2 and w != s and w != t:
-            yield nbrs[0][1], nbrs[1][1]
-
-
-def _null_rank(m, pairs, coef):
-    """Rank of the vectors e_a - e_b, (a, b) in pairs, together with
-    the vector coef ({column: int}) over m columns.
-
-    The differences span the vectors that sum to 0 over each class of
-    columns they join (a forest count gives their rank), so coef adds
-    one to the rank exactly when some class does not sum to 0.
-    """
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    rank = 0
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            rank += 1
-    sums = {}
-    for j, c in coef.items():
-        r = find(j)
-        sums[r] = sums.get(r, 0) + c
-    return rank + any(sums.values())
+            row = [0] * m
+            row[nbrs[0][1]], row[nbrs[1][1]] = 1, -1
+            yield row
 
 
 def certified_identifiable(sub):
@@ -160,7 +147,7 @@ def certified_identifiable(sub):
 
     A set returned equals identifiable_links_bruteforce(sub). None also
     covers monitors that no path joins, so that the oracle raises
-    NoPath for them: the settling test runs only after a seed path.
+    NoPath for them: a row is fed only when a path exists.
     """
     m1, m2 = sub.require_monitors()
     idx, adj = _indexed_adjacency(sub)
@@ -189,32 +176,25 @@ def certified_identifiable(sub):
     if known == rest:
         return rest
 
+    certified = IntegerEchelon(sub.m)
+    for vec in _null_vectors(adj, s, t, ceiling, sub.m):
+        certified.add(vec)
     ech = IntegerEchelon(sub.m)
     row = [0] * sub.m
-    for eid in sorted(known):
-        row[eid] = 1
-        ech.add(row)
-        row[eid] = 0
-    certified_rank = _null_rank(sub.m, _degree_two_links(adj, s, t),
-                                ceiling)
     last = 0
-    support = ech.to_reduced()
-
-    def settles(mask):
-        """Feed one path; True once the echelon's nullspace is exact."""
-        nonlocal last, support
+    # the switch paths span more than their unit rows, so they follow
+    # the tree seeds; they exist only when a tree seed does
+    for mask in chain((1 << eid for eid in sorted(known)),
+                      _tree_seeds(adj, s, t), switches):
         flips = mask ^ last
         last = mask
         while flips:
             low = flips & -flips
             row[low.bit_length() - 1] ^= 1
             flips ^= low
-        if ech.add(row):
-            support = ech.to_reduced()
-        return len(ech.null) == certified_rank or support <= ceiling.keys()
-
-    # the switch paths span more than their unit rows, so they follow
-    # the tree seeds; they exist only when a tree seed does
-    if any(settles(mask) for mask in chain(_tree_seeds(adj, s, t), switches)):
-        return set(range(sub.m)) - support
+        # a row that adds nothing leaves the nullspace, and so the
+        # test, as it was
+        if ech.add(row) and (len(ech.null) == certified.rank
+                             or ech.to_reduced() <= ceiling.keys()):
+            return set(range(sub.m)) - ech.to_reduced()
     return None

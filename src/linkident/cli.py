@@ -10,7 +10,9 @@ Subcommands:
 
 Exit status: 0 on success, 1 when diff/exhaustive found a mismatch on
 a rule the oracle does not back, 2 on any input or analysis error,
-including a graph deep enough to exhaust the recursion limit.
+including an input file that is not UTF-8, a graph deep enough to
+exhaust the recursion limit, and an output file (--dot, --jsonl) that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -80,10 +82,12 @@ def _probability(text):
 
 def _load_graph(path, monitors):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -114,9 +118,11 @@ def _emit_json(data):
 def _cmd_analyze(args):
     g = _load_graph(args.input, args.monitors)
     report = analyze(g, path_cap=args.path_cap)
-    _emit_json(report.to_json())
+    # the DOT file first, so that a path that cannot be written leaves
+    # stdout empty
     if args.dot is not None:
         _write(args.dot, report_dot(report))
+    _emit_json(report.to_json())
     return 0
 
 
@@ -265,7 +271,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LinkIdentError, RecursionError) as exc:
+    # an OSError here comes from an output file: _load_graph turns
+    # input failures into ParseError
+    except (LinkIdentError, RecursionError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

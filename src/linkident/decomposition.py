@@ -230,10 +230,9 @@ def _split(block_links):
     """Split into raw (unmerged) triconnected parts.
 
     Returns (list of (link dict, kind, sorted nodes) pieces, virtual
-    id -> endpoint pair); the dict is empty, and the list is the
-    block alone, when nothing was cut. A piece with a qualifying pair
-    (a, b) is cut into _split_side and the rest, each side getting
-    one copy of a new virtual link a-b.
+    id -> endpoint pair). A piece with a qualifying pair (a, b) is cut
+    into _split_side and the rest, each side getting one copy of a new
+    virtual link a-b.
 
     Each piece's search starts at the smaller node a of the pair that
     cut its parent. That skips no qualifying pair: a pair (x, y) with
@@ -360,17 +359,8 @@ def decompose_links(block_links):
     Core of triconnected_components that preserves the caller's link
     ids, for decomposing one block of a larger graph in place. The
     links must form a biconnected graph; this is not re-checked here.
-    A block the split leaves uncut is returned as its one component
-    directly, with no merging, renumbering or pairing to do.
     """
     comps, vpairs = _split(block_links)
-    if not vpairs:
-        [(links, kind, nodes)] = comps
-        return TriconnectedDecomposition(
-            components=[TriComponent(cid=0, kind=kind, nodes=tuple(nodes),
-                                     links=links, virtuals=frozenset())],
-            virtual_pairing={}, split_pairs={0: []}, pair_nodes={})
-
     comps, vpairs = _merge_same_kind(comps, vpairs)
 
     # renumber surviving virtual ids compactly above the real ids,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import (
@@ -52,17 +53,21 @@ def _parse_metric(value):
     """Fraction of one metric value. A value that is not a finite
     rational (a boolean, None, nan, an infinity, a string Fraction
     cannot read) raises TypeError, ValueError, OverflowError or
-    ZeroDivisionError. So does a string whose exponent exceeds
-    sys.get_int_max_str_digits() in size, the bound json puts on
-    integer literals: Fraction would build 10**exponent, an integer of
-    about 400 MB for "1e999999999"."""
+    ZeroDivisionError. So does a string or a finite Decimal whose
+    exponent exceeds sys.get_int_max_str_digits() in size, the bound
+    json puts on integer literals: Fraction would build 10**exponent,
+    an integer of about 400 MB for "1e999999999"."""
     if isinstance(value, bool):
         raise TypeError("a boolean is not a metric")
+    exp = None
     if isinstance(value, str):
-        exp = _EXPONENT.search(value)
-        limit = sys.get_int_max_str_digits()
-        if exp and limit and abs(int(exp.group(1))) > limit:
-            raise ValueError(f"exponent beyond {limit} in size")
+        match = _EXPONENT.search(value)
+        exp = match and int(match.group(1))
+    elif isinstance(value, Decimal) and value.is_finite():
+        exp = value.as_tuple().exponent
+    limit = sys.get_int_max_str_digits()
+    if exp and limit and abs(exp) > limit:
+        raise ValueError(f"exponent beyond {limit} in size")
     return Fraction(value)
 
 
@@ -299,7 +304,9 @@ class Graph:
 
         Expected keys: "nodes" (list of int), "edges" (list of [u, v]),
         optional "monitors" ([m1, m2]) and "metrics" (link id string ->
-        rational string like "3/4").
+        rational string like "3/4"). A link id string is written as
+        to_json writes it, str(link id); any other spelling raises
+        ParseError, so that no two keys name one link.
         """
         if not isinstance(data, dict):
             raise ParseError("top level must be an object")
@@ -334,7 +341,10 @@ class Graph:
             parsed = {}
             for key, raw in metrics.items():
                 try:
-                    parsed[int(key)] = _parse_metric(raw)
+                    eid = int(key)
+                    if str(eid) != key:     # "00", "+1", " 1 ", "1_0"
+                        raise ValueError("not a plain decimal link id")
+                    parsed[eid] = _parse_metric(raw)
                 except _METRIC_ERRORS as exc:
                     raise ParseError(f"bad metric {key!r}: {exc}") from None
             metrics = parsed

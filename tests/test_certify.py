@@ -13,13 +13,11 @@ from linkident import (
     structural,
 )
 from linkident.certify import (
-    _degree_two_links,
-    _null_rank,
+    _null_vectors,
     _switch_seeds,
     _tree_seeds,
     certified_identifiable,
 )
-from linkident.linalg import IntegerEchelon
 from linkident.oracle import DEFAULT_PATH_CAP, _indexed_adjacency, _walk_paths
 
 from helpers import previous_certified_identifiable
@@ -57,32 +55,16 @@ def test_seeds_are_paths_and_the_ceiling_is_a_null_vector():
         for eid, (u, v) in g.links.items():
             for mask in _switch_seeds(adj, s, t, eid, idx[u], idx[v]):
                 assert mask in paths, (g, eid)
-        at1 = sum(1 << eid for _, eid in adj[s])
-        at2 = sum(1 << eid for _, eid in adj[t])
-        pairs = list(_degree_two_links(adj, s, t))
+        ceiling = {eid: 1 for _, eid in adj[s]}
+        ceiling.update((eid, -1) for _, eid in adj[t])
+        ceiling.pop(g.link_between(m1, m2), None)
+        vectors = [[(j, x) for j, x in enumerate(vec) if x]
+                   for vec in _null_vectors(adj, s, t, ceiling, g.m)]
         for mask in paths:
-            assert (mask & at1).bit_count() == (mask & at2).bit_count()
-            for a, b in pairs:
-                assert mask >> a & 1 == mask >> b & 1, (g, a, b)
+            for vec in vectors:
+                assert sum(x for j, x in vec if mask >> j & 1) == 0, (g, vec)
         checked += 1
     assert checked == 17072
-
-
-def test_null_rank_is_the_rank_of_the_certified_vectors():
-    for g in monitored_instances():
-        idx, adj = _indexed_adjacency(g)
-        s, t = idx[g.monitors[0]], idx[g.monitors[1]]
-        coef = {eid: 1 for _, eid in adj[s]}
-        coef.update((eid, -1) for _, eid in adj[t])
-        coef.pop(g.link_between(*g.monitors), None)
-        pairs = list(_degree_two_links(adj, s, t))
-        ech = IntegerEchelon(g.m)
-        for a, b in pairs:
-            row = [0] * g.m
-            row[a], row[b] = 1, -1
-            ech.add(row)
-        ech.add([coef.get(j, 0) for j in range(g.m)])
-        assert _null_rank(g.m, pairs, coef) == ech.rank, g
 
 
 def test_certified_sets_equal_the_oracle():

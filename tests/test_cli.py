@@ -61,6 +61,37 @@ def test_analyze_missing_file(capsys, tmp_path):
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    """A byte that is not UTF-8 is reported as one ParseError line that
+    names the file; a UTF-8 byte order mark is refused as before."""
+    text = json.dumps(TRIANGLE).encode()
+    path = tmp_path / "latin1.json"
+    latin1 = text[:-1] + b', "note": "caf\xe9"}'
+    for data in (latin1, b"\xef\xbb\xbf" + text):
+        path.write_bytes(data)
+        for command in ("analyze", "oracle", "dot"):
+            assert main([command, "--input", str(path)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: ParseError: {path}"), command
+            assert err.count("\n") == 1, command
+
+
+def test_unwritable_output_is_an_error_line(triangle_file, tmp_path,
+                                            capsys):
+    target = str(tmp_path / "missing" / "out")
+    for argv in (["analyze", "--input", triangle_file, "--dot", target],
+                 ["dot", "--input", triangle_file, "--dot", target],
+                 ["gen", "--instances", "1", "--jsonl", target],
+                 ["diff", "--nodes", "3", "--instances", "1",
+                  "--jsonl", target],
+                 ["exhaustive", "--nodes", "3", "--jsonl", target]):
+        assert main(argv) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == "", argv[0]
+        assert err.startswith("error: FileNotFoundError: "), argv[0]
+        assert target in err and err.count("\n") == 1, argv[0]
+
+
 def test_analyze_writes_verdict_dot(triangle_file, tmp_path, capsys):
     dot = tmp_path / "report.dot"
     assert main(["analyze", "--input", triangle_file,

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -104,16 +105,18 @@ def test_bad_metric_values_are_graph_errors():
 
 
 def test_metric_exponents_beyond_the_digit_limit_are_rejected():
-    """A metric string whose exponent exceeds sys.get_int_max_str_digits()
-    in size is refused before Fraction builds 10**exponent: GraphError
-    from the constructor and with_metrics, ParseError from from_json.
-    Without the check the first value parses in well under a
-    millisecond, so the test fails on it before it reaches the last,
-    which would build an integer of about 400 MB."""
+    """A metric string or Decimal whose exponent exceeds
+    sys.get_int_max_str_digits() in size is refused before Fraction
+    builds 10**exponent: GraphError from the constructor and
+    with_metrics, ParseError from from_json. Without the check each
+    value before the last parses in well under a millisecond, so the
+    test fails on it before it reaches the last, which would build an
+    integer of about 400 MB."""
     limit = sys.get_int_max_str_digits()
     g = Graph([0, 1], [(0, 1)])
     for bad in (f"1e{limit + 1}", f"-7E-{limit + 1}",
-                f" 2.5e+{limit + 1} ", "1e999999999"):
+                f" 2.5e+{limit + 1} ", Decimal(f"1e{limit + 1}"),
+                Decimal(f"-7E-{limit + 1}"), "1e999999999"):
         with pytest.raises(GraphError, match="exponent"):
             g.with_metrics({0: bad})
         with pytest.raises(GraphError, match="exponent"):
@@ -122,6 +125,8 @@ def test_metric_exponents_beyond_the_digit_limit_are_rejected():
             Graph.from_json({"nodes": [0, 1], "edges": [[0, 1]],
                              "metrics": {"0": bad}})
     assert g.with_metrics({0: "1e300"}).metrics == {0: Fraction(10) ** 300}
+    assert g.with_metrics({0: Decimal(f"1e-{limit}")}).metrics == {
+        0: Fraction(1, 10 ** limit)}
     assert Graph.from_json({"nodes": [0, 1], "edges": [[0, 1]],
                             "metrics": {"0": f"1e-{limit}"}}).metrics == {
         0: Fraction(1, 10 ** limit)}
@@ -188,6 +193,23 @@ def test_json_round_trip_minimal():
 def test_from_json_rejects_malformed_input(data):
     with pytest.raises(ParseError):
         Graph.from_json(data)
+
+
+def test_from_json_metric_keys_are_plain_link_ids():
+    """A metric key must read as to_json writes it: int() also takes
+    "00", "+1", " 1 " and "1_0", which would let a second key
+    overwrite a link's metric or name another link."""
+    base = {"nodes": list(range(12)),
+            "edges": [[i, i + 1] for i in range(11)]}
+    plain = {str(i): str(i + 1) for i in range(11)}
+    assert Graph.from_json({**base, "metrics": plain}).metrics[10] == 11
+    for key in ("00", "+0", " 0 ", "-0"):
+        with pytest.raises(ParseError, match="link id"):
+            Graph.from_json({**base, "metrics": {**plain, key: "99"}})
+    aliased = {("1_0" if key == "10" else key): value
+               for key, value in plain.items()}
+    with pytest.raises(ParseError, match="link id"):
+        Graph.from_json({**base, "metrics": aliased})
 
 
 def test_from_json_keeps_graph_errors():
