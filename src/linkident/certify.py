@@ -34,7 +34,9 @@ trees, then the switch paths themselves. Every row lies in the row
 space of the real paths, so null(all paths) lies in the nullspace the
 echelon keeps. The certified null vectors go as rows into a second
 IntegerEchelon, whose rank is the dimension they span inside
-null(all paths). The feed stops once the first nullspace is exact:
+null(all paths). That rank is at most the number of vectors, so the
+second echelon is built only once the first nullspace's dimension has
+fallen that far. The feed stops once the first nullspace is exact:
 either every column it touches lies in the ceiling, or its dimension
 equals that rank. The identifiable set is then the links no nullspace
 vector touches, and every other link, interior links included, is
@@ -176,9 +178,8 @@ def certified_identifiable(sub):
     if known == rest:
         return rest
 
-    certified = IntegerEchelon(sub.m)
-    for vec in _null_vectors(adj, s, t, ceiling, sub.m):
-        certified.add(vec)
+    vectors = list(_null_vectors(adj, s, t, ceiling, sub.m))
+    certified = None
     ech = IntegerEchelon(sub.m)
     row = [0] * sub.m
     last = 0
@@ -194,7 +195,19 @@ def certified_identifiable(sub):
             flips ^= low
         # a row that adds nothing leaves the nullspace, and so the
         # test, as it was
-        if ech.add(row) and (len(ech.null) == certified.rank
-                             or ech.to_reduced() <= ceiling.keys()):
+        if not ech.add(row):
+            continue
+        nullity = len(ech.null)
+        # the certified rank is at most len(vectors), and the nullity
+        # only falls, so the certified echelon waits until it is there
+        if certified is None and nullity <= len(vectors):
+            certified = IntegerEchelon(sub.m)
+            for vec in vectors:
+                certified.add(vec)
+        # independent vectors within the ceiling's columns number at
+        # most len(ceiling)
+        if ((certified is not None and nullity == certified.rank)
+                or (nullity <= len(ceiling)
+                    and ech.to_reduced() <= ceiling.keys())):
             return set(range(sub.m)) - ech.to_reduced()
     return None

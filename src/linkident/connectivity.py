@@ -1,11 +1,13 @@
 """Connectivity predicates over graphs and multigraphs.
 
 Cut nodes and bridges come from graph.lowpoint, one iterative
-depth-first pass. A graph is 2-vertex-connected when one pass reaches
-every node and finds no cut node, and 3-vertex-connected when, for
-every node a, the pass without a reaches the rest and finds no cut
-node: n passes, O(n*(n+m)). The fan test takes one pass plus one per
-cut node. Plain reachability goes through graph.reachable.
+depth-first pass over an integer-indexed adjacency, which each test
+builds once and runs all of its passes on. A graph is
+2-vertex-connected when one pass reaches every node and finds no cut
+node, and 3-vertex-connected when, for every node a, the pass without
+a reaches the rest and finds no cut node: n passes, O(n*(n+m)). The
+fan test takes one pass plus one per cut node. Plain reachability goes
+through graph.reachable.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import combinations
 from .errors import MonitorsUnset, TooSmall
 from .graph import (
     MultiGraph,
-    link_adjacency,
+    indexed_link_adjacency,
     lowpoint,
     node_adjacency,
     reachable,
@@ -38,11 +40,11 @@ def k_vertex_connected(g, k):
         raise TooSmall(f"need more than {k} nodes, have {len(nodes)}")
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    adj = link_adjacency(nodes, g.links.items())
+    adj = indexed_link_adjacency(nodes, g.links.items())
     if k < 3:
         reached, cuts, _ = lowpoint(adj)
         return len(reached) == len(nodes) and (k == 1 or not cuts)
-    for a in nodes:
+    for a in range(len(nodes)):
         reached, cuts, _ = lowpoint(adj, a)
         if cuts or len(reached) != len(nodes) - 1:
             return False
@@ -158,13 +160,16 @@ def has_disjoint_fan(nodes, pairs, sources, targets):
     reached from S and no single node separates them. Such a node is
     a cut node of the joined graph, so one lowpoint pass finds the
     candidates, and one more pass without each (usually none) decides.
+    S is index 0 of the joined graph, so that every pass starts there,
+    and T the last index.
     """
     S, T = object(), object()
     links = list(enumerate(pairs))
     links += [(len(links) + i, (S, x)) for i, x in enumerate(sources)]
     links += [(len(links) + i, (x, T)) for i, x in enumerate(targets)]
-    adj = link_adjacency([S, *nodes, T], links)
+    adj = indexed_link_adjacency([S, *nodes, T], links)
+    t = len(adj) - 1
     reached, cuts, _ = lowpoint(adj)
-    if T not in reached:
+    if t not in reached:
         return False
-    return all(T in lowpoint(adj, x)[0] for x in cuts - {S, T})
+    return all(t in lowpoint(adj, x)[0] for x in cuts - {0, t})

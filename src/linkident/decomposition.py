@@ -3,14 +3,18 @@
 Two classical layers:
 
   * biconnected components (blocks) with cut vertices, arranged in the
-    block-cut tree; bridges are single-link blocks;
+    block-cut tree; bridges are single-link blocks. One depth-first
+    search pops each block off its link stack with the node it hangs
+    from, and one loop over the popped blocks assembles the blocks,
+    the tree edges and the maps from links and nodes to blocks;
   * the canonical split of each block into triconnected components
     (polygons, bonds, rigid pieces) joined by paired virtual links at
     its separation pairs.
 
 The triconnected split repeatedly cuts a piece at its first separation
 pair, found with one graph.lowpoint pass per removed node (Tarjan 1972;
-Hopcroft & Tarjan 1973), so one search costs O(n*(n+m)). Canonical
+Hopcroft & Tarjan 1973), so one search costs O(n*(n+m)). Every pass of
+a search runs on one integer-indexed adjacency of the piece. Canonical
 merging follows (adjacent polygons merge, adjacent bonds merge), which
 lands on the same unique decomposition as the linear time algorithms
 at a fraction of the code.
@@ -40,7 +44,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    link_adjacency,
+    indexed_link_adjacency,
     lowpoint,
     node_adjacency,
     reachable,
@@ -93,67 +97,79 @@ class BlockCutTree:
 
 
 def biconnected_components(g):
-    """Block-cut tree of a connected graph.
+    """Block-cut tree of a connected graph, assembled from one DFS.
 
-    Raises Disconnected when the DFS from the first node misses a node.
+    The DFS pops each block's links off its link stack together with
+    the block's head (the node it hangs from) and its smallest link
+    id, so sorting the popped tuples orders the blocks by smallest
+    link. One loop over them then builds every block's nodes, its
+    share of link_block and up, and its tree edges, which come out in
+    order. Raises Disconnected when the DFS from the first node misses
+    a node.
     """
+    links = g.links
     disc = {}
     low = {}
     stack = []
-    raw_blocks = []                 # (link ids, head) as popped
-    tree_link = {}                  # node -> DFS tree link into it
+    popped = []                     # (smallest link id, link ids, head)
     cuts = set()
-    counter = [0]
 
     def dfs(v, parent_link):
-        disc[v] = low[v] = counter[0]
-        counter[0] += 1
+        disc[v] = low[v] = len(disc)
         children = 0
         for w, eid in g.neighbors(v):
             if eid == parent_link:
                 continue
             if w not in disc:
+                pos = len(stack)
                 stack.append(eid)
-                tree_link[w] = eid
                 children += 1
                 dfs(w, eid)
-                low[v] = min(low[v], low[w])
+                if low[w] < low[v]:
+                    low[v] = low[w]
                 if low[w] >= disc[v]:
                     if parent_link is not None or children > 1:
                         cuts.add(v)
-                    blk = []
-                    while True:
-                        e = stack.pop()
-                        blk.append(e)
-                        if e == eid:
-                            break
-                    raw_blocks.append((blk, v))
+                    # every link pushed since the tree link into w
+                    blk = stack[pos:]
+                    del stack[pos:]
+                    popped.append((min(blk), blk, v))
             elif disc[w] < disc[v]:
                 stack.append(eid)
-                low[v] = min(low[v], disc[w])
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
 
     if g.nodes:
         dfs(g.nodes[0], None)
     if len(disc) < g.n:
         raise Disconnected("graph is not connected")
 
-    raw_blocks.sort(key=lambda raw: min(raw[0]))
+    popped.sort()
     blocks = []
     head = []
     link_block = {}
-    for bid, (linkids, v) in enumerate(raw_blocks):
+    up = {}
+    edges = []
+    for bid, (_, linkids, v) in enumerate(popped):
         linkids.sort()
-        nodes = sorted({x for eid in linkids for x in g.links[eid]})
-        blocks.append(Block(bid=bid, links=tuple(linkids),
-                            nodes=tuple(nodes)))
+        nodes = sorted({x for eid in linkids for x in links[eid]})
+        # one update in place of the generated frozen __init__'s three
+        # object.__setattr__ calls
+        block = object.__new__(Block)
+        block.__dict__.update(bid=bid, links=tuple(linkids),
+                              nodes=tuple(nodes))
+        blocks.append(block)
         head.append(v)
         link_block.update(dict.fromkeys(linkids, bid))
-    # a block holds the tree link into each of its nodes but its head
-    up = {x: link_block[eid] for x, eid in tree_link.items()}
-    edges = tuple(sorted((b.bid, v) for b in blocks for v in b.nodes
-                         if v in cuts))
+        for x in nodes:
+            # the block holds the tree link into each of its nodes but
+            # its head
+            if x != v:
+                up[x] = bid
+            if x in cuts:
+                edges.append((bid, x))
     return BlockCutTree(blocks=blocks, cut_vertices=frozenset(cuts),
-                        edges=edges, nodes=g.nodes, links=g.links,
+                        edges=tuple(edges), nodes=g.nodes, links=links,
                         link_block=link_block, head=head, up=up)
 
 
@@ -201,15 +217,19 @@ def _find_split_pair(links, nodes, start):
     class. The smallest candidate above the first a that has one is
     the first qualifying pair of all, so a search makes at most one
     pass per node from start on: O(n*(n+m)).
+
+    Every pass runs on one indexed adjacency of the piece. nodes are
+    sorted, so index order is node order, and only the pair found is
+    mapped back to nodes.
     """
-    adj = link_adjacency(nodes, links.items())
-    for a in nodes[bisect_left(nodes, start):]:
+    adj = indexed_link_adjacency(nodes, links.items())
+    for a in range(bisect_left(nodes, start), len(nodes)):
         direct = Counter(w for w, _ in adj[a])
         candidates = lowpoint(adj, a)[1]
         candidates.update(w for w, k in direct.items() if k >= 2)
         above = [w for w in candidates if w > a]
         if above:
-            return a, min(above)
+            return nodes[a], nodes[min(above)]
     return None
 
 

@@ -111,6 +111,19 @@ def link_adjacency(nodes, links):
     return adj
 
 
+def indexed_link_adjacency(nodes, links):
+    """lowpoint's adjacency: for the position of each of nodes, the
+    (neighbour position, link id) pairs of (link id, (u, v)) items;
+    parallel links each get their own entry."""
+    index = {v: i for i, v in enumerate(nodes)}
+    adj = [[] for _ in nodes]
+    for eid, (u, v) in links:
+        i, j = index[u], index[v]
+        adj[i].append((j, eid))
+        adj[j].append((i, eid))
+    return adj
+
+
 def reachable(adj, starts, blocked=()):
     """Set of nodes reached from starts without entering blocked ones.
 
@@ -129,21 +142,29 @@ def reachable(adj, starts, blocked=()):
 
 
 def lowpoint(adj, removed=None):
-    """One lowpoint pass (Tarjan 1972) over a link adjacency.
+    """One lowpoint pass (Tarjan 1972) over an indexed link adjacency.
 
-    adj is as built by link_adjacency. The depth-first search starts
-    at the first node of adj other than removed and never enters
-    removed. Returns (reached, cuts, bridge): the nodes reached, in
-    discovery order, the cut nodes of what was reached, and whether
-    some link of it is a bridge. A non-root node v cuts when some DFS
-    child w has low[w] >= disc[v], the root when it has two or more
-    children; the tree link into w is a bridge when low[w] > disc[v].
-    The parent link is skipped by id, not by node, so parallel links
-    shield each other. The search keeps its own stack, in O(n + m).
+    adj lists, for each node index 0..n-1, its (neighbour index, link
+    id) pairs, so disc and low are plain lists; callers index a piece
+    once per search and run every pass of that search on it. The
+    depth-first search starts at index 0, or at 1 when 0 is removed,
+    and never enters removed. Returns (reached, cuts, bridge): the
+    indices reached, in discovery order, the cut indices of what was
+    reached, and whether some link of it is a bridge. A non-root node
+    v cuts when some DFS child w has low[w] >= disc[v], the root when
+    it has two or more children; the tree link into w is a bridge when
+    low[w] > disc[v]. The parent link is skipped by id, not by node,
+    so parallel links shield each other. The search keeps its own
+    stack, in O(n + m).
     """
-    root = next(v for v in adj if v != removed)
-    disc = {root: 0}
-    low = {root: 0}
+    n = len(adj)
+    root = 1 if removed == 0 else 0
+    disc = [-1] * n
+    low = [0] * n
+    if removed is not None:
+        disc[removed] = n           # seen, and never lowers a low
+    disc[root] = 0
+    reached = [root]
     cuts = set()
     bridge = False
     root_children = 0
@@ -151,31 +172,34 @@ def lowpoint(adj, removed=None):
     while stack:
         v, via, todo = stack[-1]
         for w, eid in todo:
-            if w == removed or eid == via:
+            if eid == via:
                 continue
-            if w in disc:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
+            d = disc[w]
+            if d >= 0:
+                if d < low[v]:
+                    low[v] = d
                 continue
-            disc[w] = low[w] = len(disc)
+            disc[w] = low[w] = len(reached)
+            reached.append(w)
             stack.append((w, eid, iter(adj[w])))
             break
         else:
             stack.pop()
             if stack:
                 u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    if len(stack) > 1:
+                lv = low[v]
+                if lv < low[u]:
+                    low[u] = lv
+                if lv >= disc[u]:
+                    if u != root:
                         cuts.add(u)
                     else:
                         root_children += 1
-                    if low[v] > disc[u]:
+                    if lv > disc[u]:
                         bridge = True
     if root_children > 1:
         cuts.add(root)
-    return disc, cuts, bridge
+    return reached, cuts, bridge
 
 
 class Graph:

@@ -443,7 +443,8 @@ def _analyze_block(st, block, agents, monitors, path_cap, claims,
 
     direct = st.g.link_between(a1, a2)
     if direct is not None:
-        both_monitors = {a1, a2} == set(monitors)
+        # a1 != a2, and the monitors are two distinct nodes
+        both_monitors = a1 in monitors and a2 in monitors
         claims.claim(direct, both_monitors, RULE_DIRECT)
 
     if len(block.links) == 1:
@@ -515,8 +516,11 @@ def analyze(g, path_cap=DEFAULT_PATH_CAP, structure=None):
                        (m1, m2), path_cap, claims, categories,
                        fallback_blocks)
     home = structure.bct.link_block
-    verdicts = {eid: LinkVerdict(eid, pair, claims.verdicts[eid],
-                                 claims.rules[eid], home[eid])
+    ok = claims.verdicts
+    rules = claims.rules
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    verdicts = {eid: tuple.__new__(LinkVerdict, (eid, pair, ok[eid],
+                                                 rules[eid], home[eid]))
                 for eid, pair in g.links.items()}
     return IdentifiabilityReport(graph=g, monitors=(m1, m2),
                                  verdicts=verdicts,

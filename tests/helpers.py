@@ -12,8 +12,9 @@ ReferenceEchelon keeps echelon rows, where the library's
 IntegerEchelon keeps a nullspace basis, and reference_recovery sums
 Fraction metrics per path and builds dense witnesses, where the oracle
 feeds integer sums through one live row and builds sparse ones.
-previous_certified_identifiable and previous_analyze_block keep
-earlier versions of library steps as references for the current ones.
+previous_certified_identifiable, previous_analyze_block,
+previous_biconnected_components and previous_lowpoint keep earlier
+versions of library steps as references for the current ones.
 """
 
 from bisect import bisect_left
@@ -28,7 +29,8 @@ from linkident import (
     enumerate_simple_paths,
 )
 from linkident.certify import _switch_seeds, _tree_seeds
-from linkident.decomposition import BOND
+from linkident.decomposition import BOND, Block, BlockCutTree
+from linkident.errors import Disconnected
 from linkident.graph import node_adjacency, reachable
 from linkident.linalg import IntegerEchelon
 from linkident.oracle import _indexed_adjacency, build_measurement_matrix
@@ -588,3 +590,123 @@ def previous_analyze_block(st, block, agents, monitors, path_cap, claims,
 
     missing = [eid for eid in block.links if eid not in claims]
     assert not missing, f"links {missing} of block {block.bid} unmarked"
+
+
+# Kept verbatim as the references for the one-pass block-cut tree and
+# the indexed lowpoint pass: a block-cut tree assembled after its DFS,
+# and a lowpoint pass over a node-keyed link adjacency.
+
+
+def previous_biconnected_components(g):
+    """Block-cut tree of a connected graph.
+
+    Raises Disconnected when the DFS from the first node misses a node.
+    """
+    disc = {}
+    low = {}
+    stack = []
+    raw_blocks = []                 # (link ids, head) as popped
+    tree_link = {}                  # node -> DFS tree link into it
+    cuts = set()
+    counter = [0]
+
+    def dfs(v, parent_link):
+        disc[v] = low[v] = counter[0]
+        counter[0] += 1
+        children = 0
+        for w, eid in g.neighbors(v):
+            if eid == parent_link:
+                continue
+            if w not in disc:
+                stack.append(eid)
+                tree_link[w] = eid
+                children += 1
+                dfs(w, eid)
+                low[v] = min(low[v], low[w])
+                if low[w] >= disc[v]:
+                    if parent_link is not None or children > 1:
+                        cuts.add(v)
+                    blk = []
+                    while True:
+                        e = stack.pop()
+                        blk.append(e)
+                        if e == eid:
+                            break
+                    raw_blocks.append((blk, v))
+            elif disc[w] < disc[v]:
+                stack.append(eid)
+                low[v] = min(low[v], disc[w])
+
+    if g.nodes:
+        dfs(g.nodes[0], None)
+    if len(disc) < g.n:
+        raise Disconnected("graph is not connected")
+
+    raw_blocks.sort(key=lambda raw: min(raw[0]))
+    blocks = []
+    head = []
+    link_block = {}
+    for bid, (linkids, v) in enumerate(raw_blocks):
+        linkids.sort()
+        nodes = sorted({x for eid in linkids for x in g.links[eid]})
+        blocks.append(Block(bid=bid, links=tuple(linkids),
+                            nodes=tuple(nodes)))
+        head.append(v)
+        link_block.update(dict.fromkeys(linkids, bid))
+    # a block holds the tree link into each of its nodes but its head
+    up = {x: link_block[eid] for x, eid in tree_link.items()}
+    edges = tuple(sorted((b.bid, v) for b in blocks for v in b.nodes
+                         if v in cuts))
+    return BlockCutTree(blocks=blocks, cut_vertices=frozenset(cuts),
+                        edges=edges, nodes=g.nodes, links=g.links,
+                        link_block=link_block, head=head, up=up)
+
+
+def previous_lowpoint(adj, removed=None):
+    """One lowpoint pass (Tarjan 1972) over a link adjacency.
+
+    adj is as built by link_adjacency. The depth-first search starts
+    at the first node of adj other than removed and never enters
+    removed. Returns (reached, cuts, bridge): the nodes reached, in
+    discovery order, the cut nodes of what was reached, and whether
+    some link of it is a bridge. A non-root node v cuts when some DFS
+    child w has low[w] >= disc[v], the root when it has two or more
+    children; the tree link into w is a bridge when low[w] > disc[v].
+    The parent link is skipped by id, not by node, so parallel links
+    shield each other. The search keeps its own stack, in O(n + m).
+    """
+    root = next(v for v in adj if v != removed)
+    disc = {root: 0}
+    low = {root: 0}
+    cuts = set()
+    bridge = False
+    root_children = 0
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, via, todo = stack[-1]
+        for w, eid in todo:
+            if w == removed or eid == via:
+                continue
+            if w in disc:
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+                continue
+            disc[w] = low[w] = len(disc)
+            stack.append((w, eid, iter(adj[w])))
+            break
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    if len(stack) > 1:
+                        cuts.add(u)
+                    else:
+                        root_children += 1
+                    if low[v] > disc[u]:
+                        bridge = True
+    if root_children > 1:
+        cuts.add(root)
+    return disc, cuts, bridge

@@ -25,7 +25,8 @@ from linkident import decomposition
 from linkident.graph import lowpoint, node_adjacency, reachable
 
 from helpers import bowtie_on_edge, c5, k4, k_vertex_connected, path_graph, \
-    prism, triangle, two_triangles
+    previous_biconnected_components, prism, triangle, triangle_chain, \
+    two_triangles
 
 
 def rebuilt(g):
@@ -90,6 +91,26 @@ def test_block_links_partition_the_graph():
         bct = biconnected_components(g)
         seen = [eid for b in bct.blocks for eid in b.links]
         assert sorted(seen) == sorted(g.links)
+
+
+def test_one_pass_tree_equals_the_previous_assembly():
+    """Every field of the block-cut tree, and its repr, equal those
+    of the tree assembled after its DFS."""
+    graphs = [g for n in range(2, 7)
+              for g in enumerate_all_connected_graphs(n)]
+    graphs += [triangle_chain(b) for b in (1, 2, 40, 300)]
+    graphs += [grid(k, k) for k in range(3, 12)]
+    rng = random.Random(2305)
+    graphs += [random_biconnected(rng.randint(5, 30), rng)
+               for _ in range(50)]
+    for g in graphs:
+        new = biconnected_components(g)
+        old = previous_biconnected_components(g)
+        for f in dataclasses.fields(new):
+            assert getattr(new, f.name) == getattr(old, f.name), f.name
+        assert repr(new) == repr(old)
+        assert [repr(b) for b in new.blocks] == \
+            [repr(b) for b in old.blocks]
 
 
 # -- triconnected components -------------------------------------------
@@ -431,8 +452,9 @@ def test_split_search_finds_a_pair_through_parallel_links(monkeypatch):
     the bowtie splits at (0, 1): no node cuts the piece without node 0,
     so only the parallel links make (0, 1) a candidate."""
     piece = {0: (0, 1), 3: (0, 3), 4: (1, 3), 5: (0, 1)}
-    adj = {0: [(1, 0), (3, 3), (1, 5)], 1: [(0, 0), (3, 4), (0, 5)],
-           3: [(0, 3), (1, 4)]}
+    # nodes 0, 1, 3 at indices 0, 1, 2
+    adj = [[(1, 0), (2, 3), (1, 5)], [(0, 0), (2, 4), (0, 5)],
+           [(0, 3), (1, 4)]]
     assert lowpoint(adj, 0)[1] == set()
     pair = decomposition._find_split_pair(piece, [0, 1, 3], 0)
     assert pair == (0, 1) == scan_all_pairs(piece, [0, 1, 3])

@@ -18,11 +18,12 @@ from linkident import (
     ParseError,
     SelfLoop,
     UnknownNode,
+    enumerate_all_connected_graphs,
 )
-from linkident.graph import link_adjacency, lowpoint, node_adjacency, \
-    reachable
+from linkident.graph import indexed_link_adjacency, link_adjacency, \
+    lowpoint, node_adjacency, reachable
 
-from helpers import k23, triangle
+from helpers import k23, previous_lowpoint, triangle
 
 
 def test_links_are_numbered_in_construction_order_and_normalized():
@@ -275,6 +276,31 @@ def test_lowpoint_matches_deletion_on_random_multigraphs():
                                          removed)
         assert (set(reached), cuts, bridge) \
             == lowpoint_by_deletion(nodes, links, removed)
+
+
+def test_indexed_lowpoint_matches_the_node_keyed_pass():
+    """Same reached nodes in the same order, cut nodes and bridge flag
+    as the node-keyed pass, on every connected graph on 2..6 nodes
+    under every removed node and none. Nodes are relabelled out of
+    order, so that no index equals its node."""
+    checked = 0
+    for n in range(2, 7):
+        for g in enumerate_all_connected_graphs(n):
+            label = [(5 * v + 2) % 7 + 10 for v in g.nodes]
+            g = Graph(label, [(label[u], label[v])
+                              for u, v in g.links.values()])
+            keyed = link_adjacency(g.nodes, g.links.items())
+            adj = indexed_link_adjacency(g.nodes, g.links.items())
+            index = {v: i for i, v in enumerate(g.nodes)}
+            for removed in (None, *g.nodes):
+                reached, cuts, bridge = lowpoint(
+                    adj, None if removed is None else index[removed])
+                want = previous_lowpoint(keyed, removed)
+                assert [g.nodes[i] for i in reached] == list(want[0])
+                assert {g.nodes[i] for i in cuts} == want[1]
+                assert bridge == want[2]
+                checked += 1
+    assert checked == 1 * 3 + 4 * 4 + 38 * 5 + 728 * 6 + 26704 * 7
 
 
 def test_parallel_links_shield_each_other_in_lowpoint():
