@@ -67,7 +67,7 @@ from .generators import (
     grid,
     random_biconnected,
 )
-from .graph import Graph, MultiGraph
+from .graph import Graph
 from .linalg import IntegerEchelon
 from .oracle import (
     DEFAULT_PATH_CAP,
@@ -123,7 +123,6 @@ __all__ = [
     "MonitorNotInGraph",
     "MonitorsNotDistinct",
     "MonitorsUnset",
-    "MultiGraph",
     "NoPath",
     "NotBiconnected",
     "OracleResult",

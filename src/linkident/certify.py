@@ -54,17 +54,17 @@ from __future__ import annotations
 
 from itertools import chain
 
+from .graph import indexed_link_adjacency
 from .linalg import IntegerEchelon
-from .oracle import _indexed_adjacency
 
 
 def _bfs(adj, s, blocked, t=None):
     """Breadth-first tree from node s that enters no node of the
     blocked bitmask, stopping once t is reached.
 
-    adj is as built by oracle._indexed_adjacency. Returns
-    {node: (node mask, link mask)} of each reached node's tree path
-    from s.
+    adj is as built by graph.indexed_link_adjacency, and nodes are
+    its positions. Returns {node: (node mask, link mask)} of each
+    reached node's tree path from s.
     """
     tree = {s: (1 << s, 0)}
     queue = [s]
@@ -152,7 +152,7 @@ def certified_identifiable(sub):
     NoPath for them: a row is fed only when a path exists.
     """
     m1, m2 = sub.require_monitors()
-    idx, adj = _indexed_adjacency(sub)
+    idx, adj = indexed_link_adjacency(sub.nodes, sub.links.items())
     s, t = idx[m1], idx[m2]
     direct = sub.link_between(m1, m2)
     ceiling = {eid: 1 for _, eid in adj[s]}     # the ceiling vector

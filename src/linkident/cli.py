@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 
-from .decomposition import biconnected_components, decompose_links
 from .dotexport import (
     block_cut_tree_dot,
     decomposition_dot,
@@ -32,7 +31,7 @@ from .errors import LinkIdentError, ParseError
 from .generators import SweepConfig, generate_graph
 from .graph import Graph
 from .oracle import DEFAULT_PATH_CAP, oracle_analysis
-from .structural import analyze
+from .structural import Structure, analyze
 from .sweep import exhaustive_sweep, run_sweep
 
 
@@ -189,14 +188,10 @@ def _cmd_exhaustive(args):
 
 def _cmd_dot(args):
     g = _load_graph(args.input, args.monitors)
-    parts = [graph_dot(g, name="input")]
-    bct = biconnected_components(g)
-    parts.append(block_cut_tree_dot(bct))
-    for block in bct.blocks:
-        if len(block.nodes) < 3:
-            continue
-        d = decompose_links({eid: g.links[eid] for eid in block.links})
-        parts.append(decomposition_dot(d, name=f"block-{block.bid}"))
+    st = Structure(g)
+    parts = [graph_dot(g, name="input"), block_cut_tree_dot(st.bct)]
+    parts += [decomposition_dot(st.tri(block.bid), name=f"block-{block.bid}")
+              for block in st.bct.blocks if len(block.nodes) >= 3]
     _write(args.dot, "".join(parts))
     return 0
 

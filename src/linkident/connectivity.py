@@ -1,13 +1,14 @@
-"""Connectivity predicates over graphs and multigraphs.
+"""Connectivity predicates over graphs.
 
 Cut nodes and bridges come from graph.lowpoint, one iterative
-depth-first pass over an integer-indexed adjacency, which each test
+depth-first pass over graph.indexed_link_adjacency, which each test
 builds once and runs all of its passes on. A graph is
 2-vertex-connected when one pass reaches every node and finds no cut
 node, and 3-vertex-connected when, for every node a, the pass without
-a reaches the rest and finds no cut node: n passes, O(n*(n+m)). The
-fan test takes one pass plus one per cut node. Plain reachability goes
-through graph.reachable.
+a reaches the rest and finds no cut node: n passes, O(n*(n+m)).
+k_vertex_connected and the interior predicate share that test,
+_three_connected. The fan test takes one pass plus one per cut node.
+Plain reachability goes through graph.reachable.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from itertools import combinations
 
 from .errors import MonitorsUnset, TooSmall
 from .graph import (
-    MultiGraph,
+    Graph,
     indexed_link_adjacency,
+    link_adjacency,
     lowpoint,
-    node_adjacency,
     reachable,
 )
 from .oracle import DEFAULT_PATH_CAP, _walk_paths
@@ -40,20 +41,27 @@ def k_vertex_connected(g, k):
         raise TooSmall(f"need more than {k} nodes, have {len(nodes)}")
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    adj = indexed_link_adjacency(nodes, g.links.items())
-    if k < 3:
-        reached, cuts, _ = lowpoint(adj)
-        return len(reached) == len(nodes) and (k == 1 or not cuts)
-    for a in range(len(nodes)):
+    _, adj = indexed_link_adjacency(nodes, g.links.items())
+    if k == 3:
+        return _three_connected(adj)
+    reached, cuts, _ = lowpoint(adj)
+    return len(reached) == len(nodes) and (k == 1 or not cuts)
+
+
+def _three_connected(adj):
+    """No two nodes disconnect the indexed adjacency adj, which has
+    more than three nodes: the pass without each node a reaches every
+    other node and finds no cut node."""
+    for a in range(len(adj)):
         reached, cuts, _ = lowpoint(adj, a)
-        if cuts or len(reached) != len(nodes) - 1:
+        if cuts or len(reached) != len(adj) - 1:
             return False
     return True
 
 
 def _monitor_lobes(g, m1, m2):
     """Connected components of g minus both monitors, as node sets."""
-    adj = node_adjacency(g.nodes, g.links.values())
+    adj = link_adjacency(g.nodes, g.links.items())
     seen = {m1, m2}
     out = []
     for v in g.nodes:
@@ -64,31 +72,35 @@ def _monitor_lobes(g, m1, m2):
     return out
 
 
-def _once_crossed_cut_hits_interior(links, interior, m1, m2, lobe):
+def _once_crossed_cut_hits_interior(pairs, interior, m1, m2, lobe):
     """Is some interior link in a cut that every monitor path crosses
     exactly once?
 
-    Cuts are enumerated as node bipartitions: m1 plus any subset of the
-    lobe on one side, m2 and the rest on the other. Cuts, interior and
-    paths are link bitmasks. Path masks come from the oracle's path
-    walk, bounded by DEFAULT_PATH_CAP, and are only produced for the
-    first cut that touches an interior link; cuts entirely through
-    monitor links cannot condemn anything and are skipped. The virtual
-    bypass link would cross every enumerated cut exactly once, so
-    leaving it out of both the cuts and the paths changes no answer.
+    pairs are the lobe's links, with link id i for pairs[i]. Cuts are
+    enumerated as node bipartitions: m1 plus any subset of the lobe on
+    one side, m2 and the rest on the other. Cuts, interior and paths
+    are bitmasks over those ids. Path masks come from the oracle's
+    path walk over a Graph of the lobe, bounded by DEFAULT_PATH_CAP,
+    and are only produced for the first cut that touches an interior
+    link; cuts entirely through monitor links cannot condemn anything
+    and are skipped. That Graph is simple, since the direct monitor
+    link, the only link a bypass could run parallel to, has no end in
+    the lobe. The virtual bypass link would cross every enumerated cut
+    exactly once, so leaving it out of both the cuts and the paths
+    changes no answer.
     """
     paths = None
     members = sorted(lobe)
     for r in range(len(members) + 1):
         for extra in combinations(members, r):
             side = {m1, *extra}
-            cut = sum(1 << eid for eid, (u, v) in links.items()
+            cut = sum(1 << i for i, (u, v) in enumerate(pairs)
                       if (u in side) != (v in side))
             if not cut & interior:
                 continue
             if paths is None:
                 paths = []
-                _walk_paths(MultiGraph(lobe | {m1, m2}, links), m1, m2,
+                _walk_paths(Graph(lobe | {m1, m2}, pairs), m1, m2,
                             DEFAULT_PATH_CAP,
                             lambda mask, seq: paths.append(mask))
             if all((p & cut).bit_count() == 1 for p in paths):
@@ -136,16 +148,17 @@ def interior_identifiability_predicate(g):
     big = [lobe for lobe in _monitor_lobes(g, m1, m2) if len(lobe) >= 2]
     if not big:
         return False
-    vid = (max(g.links) + 1) if g.links else 0
     for lobe in big:
-        links = {eid: pair for eid, pair in g.links.items()
-                 if pair[0] in lobe or pair[1] in lobe}
-        interior = sum(1 << eid for eid, (u, v) in links.items()
-                       if u in lobe and v in lobe)
-        aug = MultiGraph(lobe | {m1, m2}, {**links, vid: (m1, m2)})
-        if not k_vertex_connected(aug, 3):
+        pairs = [pair for pair in g.links.values()
+                 if pair[0] in lobe or pair[1] in lobe]
+        bypass = (len(pairs), (m1, m2))
+        _, adj = indexed_link_adjacency(sorted(lobe | {m1, m2}),
+                                        [*enumerate(pairs), bypass])
+        if not _three_connected(adj):
             return False
-        if _once_crossed_cut_hits_interior(links, interior, m1, m2, lobe):
+        interior = sum(1 << i for i, (u, v) in enumerate(pairs)
+                       if u in lobe and v in lobe)
+        if _once_crossed_cut_hits_interior(pairs, interior, m1, m2, lobe):
             return False
     return True
 
@@ -167,7 +180,7 @@ def has_disjoint_fan(nodes, pairs, sources, targets):
     links = list(enumerate(pairs))
     links += [(len(links) + i, (S, x)) for i, x in enumerate(sources)]
     links += [(len(links) + i, (x, T)) for i, x in enumerate(targets)]
-    adj = indexed_link_adjacency([S, *nodes, T], links)
+    _, adj = indexed_link_adjacency([S, *nodes, T], links)
     t = len(adj) - 1
     reached, cuts, _ = lowpoint(adj)
     if t not in reached:

@@ -45,8 +45,8 @@ from .errors import (
 from .graph import (
     Graph,
     indexed_link_adjacency,
+    link_adjacency,
     lowpoint,
-    node_adjacency,
     reachable,
 )
 
@@ -222,7 +222,7 @@ def _find_split_pair(links, nodes, start):
     sorted, so index order is node order, and only the pair found is
     mapped back to nodes.
     """
-    adj = indexed_link_adjacency(nodes, links.items())
+    _, adj = indexed_link_adjacency(nodes, links.items())
     for a in range(bisect_left(nodes, start), len(nodes)):
         direct = Counter(w for w, _ in adj[a])
         candidates = lowpoint(adj, a)[1]
@@ -240,7 +240,7 @@ def _split_side(links, nodes, a, b):
     piece every component links into both a and b, so this side has
     two or more links and is the first such class of the pair."""
     first = next(v for v in nodes if v != a and v != b)
-    side = reachable(node_adjacency(nodes, links.values()), (first,),
+    side = reachable(link_adjacency(nodes, links.items()), (first,),
                      (a, b))
     return {eid: (u, v) for eid, (u, v) in sorted(links.items())
             if u in side or v in side}

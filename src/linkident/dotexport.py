@@ -25,12 +25,12 @@ def _id(prefix, v):
     return f'"{prefix}{_esc(s)}"'
 
 
-def _node_lines(g, indent="  "):
+def _node_lines(g):
     m1, m2 = g.monitors if g.monitors is not None else (None, None)
     lines = []
     for v in g.nodes:
         shape = "doublecircle" if v in (m1, m2) else "circle"
-        lines.append(f'{indent}{_id("n", v)} [label="{_esc(v)}",'
+        lines.append(f'  {_id("n", v)} [label="{_esc(v)}",'
                      f" shape={shape}];")
     return lines
 

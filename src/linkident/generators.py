@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .errors import GenerationFailed, TooLarge
-from .graph import Graph, reachable
+from .graph import Graph, link_adjacency, reachable
 from .oracle import DEFAULT_PATH_CAP
 
 MAX_GENERATION_TRIES = 200
@@ -47,19 +47,21 @@ class SweepConfig:
     edge_prob: float = 0.5
 
 
-def gnp_connected(n, p, rng, max_tries=MAX_GENERATION_TRIES):
-    """Connected Erdos-Renyi sample, by rejection."""
+def gnp_connected(n, p, rng):
+    """Connected Erdos-Renyi sample, by rejection, in at most
+    MAX_GENERATION_TRIES samples."""
     if n < 1:
         raise GenerationFailed(f"cannot generate a graph on {n} nodes")
     nodes = list(range(n))
-    for _ in range(max_tries):
+    for _ in range(MAX_GENERATION_TRIES):
         edges = [pair for pair in combinations(nodes, 2)
                  if rng.random() < p]
         g = Graph(nodes, edges)
         if g.is_connected():
             return g
     raise GenerationFailed(
-        f"no connected sample in {max_tries} tries (n={n}, p={p})")
+        f"no connected sample in {MAX_GENERATION_TRIES} tries"
+        f" (n={n}, p={p})")
 
 
 def random_biconnected(n, rng, chord_prob=0.3):
@@ -133,15 +135,16 @@ def generate_graph(config, index):
 # -- exhaustive enumeration ---------------------------------------------
 
 
+def _mask_adjacency(n, pairs, mask):
+    """Link adjacency of nodes 0..n-1 and the pairs in mask, with each
+    pair's position as its link id."""
+    return link_adjacency(range(n), [(i, pair) for i, pair
+                                     in enumerate(pairs) if mask >> i & 1])
+
+
 def _mask_connected(n, pairs, mask):
-    if n <= 1:
-        return True
-    adj = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(pairs):
-        if mask >> i & 1:
-            adj[u].append(v)
-            adj[v].append(u)
-    return len(reachable(adj, (0,))) == n
+    return n <= 1 or len(reachable(_mask_adjacency(n, pairs, mask),
+                                   (0,))) == n
 
 
 def _wl_colors(n, adj):
@@ -149,7 +152,7 @@ def _wl_colors(n, adj):
     neighbor color multisets)."""
     colors = [len(adj[v]) for v in range(n)]
     while True:
-        keys = [(colors[v], tuple(sorted(colors[w] for w in adj[v])))
+        keys = [(colors[v], tuple(sorted(colors[w] for w, _ in adj[v])))
                 for v in range(n)]
         order = {k: i for i, k in enumerate(sorted(set(keys)))}
         new = [order[keys[v]] for v in range(n)]
@@ -166,12 +169,7 @@ def _canonical_mask(n, pairs, mask):
     graphs while staying exact (the true minimum is always among the
     candidates because the coloring is label-independent).
     """
-    adj = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(pairs):
-        if mask >> i & 1:
-            adj[u].append(v)
-            adj[v].append(u)
-    colors = _wl_colors(n, adj)
+    colors = _wl_colors(n, _mask_adjacency(n, pairs, mask))
     classes = {}
     for v in range(n):
         classes.setdefault(colors[v], []).append(v)

@@ -10,6 +10,13 @@ Nodes are integers. Links are numbered 0..m-1 in construction order and
 stored as ordered pairs (u, v) with u < v. The numbering is part of the
 public contract: reports, metric dictionaries and DOT exports all refer
 to links by these ids.
+
+Searches read one adjacency form: each node's (neighbour, link id)
+pairs, with parallel links as separate entries. link_adjacency keys
+the pairs by node, as Graph keeps them; indexed_link_adjacency lists
+them by node position, sorted, and every index-based search runs on
+it: the lowpoint passes, the oracle's path walk and the certificates'
+breadth-first trees. reachable takes either.
 """
 
 from __future__ import annotations
@@ -91,16 +98,6 @@ def _clean_metrics(metrics, links):
     return clean or None
 
 
-def node_adjacency(nodes, pairs):
-    """Neighbour lists of nodes for (u, v) pairs; parallel pairs
-    repeat."""
-    adj = {v: [] for v in nodes}
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def link_adjacency(nodes, links):
     """(neighbour, link id) lists of nodes for (link id, (u, v)) items;
     parallel links each get their own entry."""
@@ -112,29 +109,39 @@ def link_adjacency(nodes, links):
 
 
 def indexed_link_adjacency(nodes, links):
-    """lowpoint's adjacency: for the position of each of nodes, the
-    (neighbour position, link id) pairs of (link id, (u, v)) items;
-    parallel links each get their own entry."""
+    """The adjacency of every index-based search, as (index, adj).
+
+    index maps each of nodes to its position, and adj lists, for each
+    position, the (neighbour position, link id) pairs of (link id,
+    (u, v)) items, sorted ascending; parallel links each get their own
+    entry. Over sorted nodes, position order is node order, so a
+    search that takes neighbours in list order visits them in node
+    order.
+    """
     index = {v: i for i, v in enumerate(nodes)}
-    adj = [[] for _ in nodes]
+    adj = [[] for _ in index]
     for eid, (u, v) in links:
         i, j = index[u], index[v]
         adj[i].append((j, eid))
         adj[j].append((i, eid))
-    return adj
+    for pairs in adj:
+        pairs.sort()
+    return index, adj
 
 
 def reachable(adj, starts, blocked=()):
     """Set of nodes reached from starts without entering blocked ones.
 
-    adj maps each node to its neighbours (a dict, or a list over
-    nodes 0..n-1). Start nodes must not be blocked. The search keeps
-    its own stack, so no depth of graph hits the recursion limit.
+    adj gives each node its (neighbour, link id) pairs: a dict as
+    built by link_adjacency, or a list over positions as built by
+    indexed_link_adjacency. Start nodes must not be blocked. The
+    search keeps its own stack, so no depth of graph hits the
+    recursion limit.
     """
     seen = set(starts)
     stack = list(seen)
     while stack:
-        for w in adj[stack.pop()]:
+        for w, _ in adj[stack.pop()]:
             if w not in seen and w not in blocked:
                 seen.add(w)
                 stack.append(w)
@@ -144,9 +151,9 @@ def reachable(adj, starts, blocked=()):
 def lowpoint(adj, removed=None):
     """One lowpoint pass (Tarjan 1972) over an indexed link adjacency.
 
-    adj lists, for each node index 0..n-1, its (neighbour index, link
-    id) pairs, so disc and low are plain lists; callers index a piece
-    once per search and run every pass of that search on it. The
+    adj is as built by indexed_link_adjacency, so disc and low are
+    plain lists; callers index a piece once per search and run every
+    pass of that search on it. The
     depth-first search starts at index 0, or at 1 when 0 is removed,
     and never enters removed. Returns (reached, cuts, bridge): the
     indices reached, in discovery order, the cut indices of what was
@@ -294,8 +301,7 @@ class Graph:
     def is_connected(self):
         if not self.nodes:
             return True
-        adj = {v: [w for w, _ in a] for v, a in self._adj.items()}
-        return len(reachable(adj, self.nodes[:1])) == self.n
+        return len(reachable(self._adj, self.nodes[:1])) == self.n
 
     # -- derivation ---------------------------------------------------
 
@@ -409,19 +415,3 @@ class Graph:
         mon = f", monitors={self.monitors}" if self.monitors else ""
         return f"Graph(n={self.n}, m={self.m}{mon})"
 
-
-class MultiGraph:
-    """Graph that allows parallel links, keeping the caller's link ids.
-
-    The interior predicate builds one per lobe, with a bypass link
-    parallel to any direct monitor link; input graphs are always
-    simple. This class is deliberately loose and mutable: no adjacency
-    cache, no strict validation, just the fields the path walk and the
-    connectivity tests read.
-    """
-
-    __slots__ = ("nodes", "links")
-
-    def __init__(self, nodes, links):
-        self.nodes = tuple(sorted(nodes))
-        self.links = {eid: _normalize(u, v) for eid, (u, v) in dict(links).items()}

@@ -12,8 +12,10 @@ M over the rationals. This module enumerates the full path universe
   * for each unidentifiable link, two positive metric assignments that
     agree on every path sum but differ on that link.
 
-The walk feeds the echelon one live 0/1 row, updated in place on the
-links where each path differs from the one before it. Path sums are
+The walk, a depth-first search over graph.indexed_link_adjacency that
+emits paths in lexicographic node order, feeds the echelon one live
+0/1 row, updated in place on the links where each path differs from
+the one before it. Path sums are
 plain integers: the metrics are scaled once to integers over their
 common denominator D. Each recovered value is one Fraction over the
 echelon's denominator times D. Each witness is read off one of the
@@ -33,26 +35,10 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import GraphError, NoPath, PathExplosion
+from .graph import indexed_link_adjacency
 from .linalg import IntegerEchelon
 
 DEFAULT_PATH_CAP = 200_000
-
-
-def _indexed_adjacency(g):
-    """Adjacency over 0-based node indices, neighbor-sorted.
-
-    Returns (index map, list of (neighbor index, link id) lists).
-    Sorting by neighbor index makes DFS emit paths in lexicographic
-    node-sequence order, since node indices follow node order.
-    """
-    idx = {v: i for i, v in enumerate(g.nodes)}
-    adj = [[] for _ in g.nodes]
-    for eid, (u, v) in g.links.items():
-        adj[idx[u]].append((idx[v], eid))
-        adj[idx[v]].append((idx[u], eid))
-    for lst in adj:
-        lst.sort()
-    return idx, adj
 
 
 def _walk_paths(g, m1, m2, cap, visit):
@@ -60,9 +46,11 @@ def _walk_paths(g, m1, m2, cap, visit):
 
     visit(mask, nodes) is called once per path with the link bitmask
     and the node index sequence. Raises PathExplosion when the path
-    count would exceed cap.
+    count would exceed cap. The walk takes neighbours in the sorted
+    order of graph.indexed_link_adjacency, and node indices follow
+    node order, so paths come in lexicographic node-sequence order.
     """
-    idx, adj = _indexed_adjacency(g)
+    idx, adj = indexed_link_adjacency(g.nodes, g.links.items())
     s, t = idx[m1], idx[m2]
     count = 0
     seq = [s]

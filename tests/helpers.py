@@ -31,9 +31,10 @@ from linkident import (
 from linkident.certify import _switch_seeds, _tree_seeds
 from linkident.decomposition import BOND, Block, BlockCutTree
 from linkident.errors import Disconnected
-from linkident.graph import node_adjacency, reachable
+from linkident.graph import indexed_link_adjacency, link_adjacency, \
+    reachable
 from linkident.linalg import IntegerEchelon
-from linkident.oracle import _indexed_adjacency, build_measurement_matrix
+from linkident.oracle import build_measurement_matrix
 from linkident.structural import (
     RULE_DEFERRED,
     RULE_DIRECT,
@@ -219,7 +220,8 @@ def _connected(nodes, pairs):
     if not nodes:
         return True
     first = next(iter(nodes))
-    return len(reachable(node_adjacency(nodes, pairs), (first,))) \
+    return len(reachable(link_adjacency(nodes, enumerate(pairs)),
+                         (first,))) \
         == len(nodes)
 
 
@@ -237,7 +239,7 @@ def k_vertex_connected(g, k):
         raise TooSmall(f"need more than {k} nodes, have {len(nodes)}")
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    adj = node_adjacency(nodes, g.links.values())
+    adj = link_adjacency(nodes, g.links.items())
     for cut in combinations(nodes, k - 1):
         gone = set(cut)
         start = next(v for v in nodes if v not in gone)
@@ -488,7 +490,7 @@ def previous_certified_identifiable(sub):
     NoPath for them.
     """
     m1, m2 = sub.require_monitors()
-    idx, adj = _indexed_adjacency(sub)
+    idx, adj = indexed_link_adjacency(sub.nodes, sub.links.items())
     s, t = idx[m1], idx[m2]
     direct = sub.link_between(m1, m2)
     ceiling = {eid for _, eid in adj[s]} | {eid for _, eid in adj[t]}

@@ -18,7 +18,8 @@ from linkident.certify import (
     _tree_seeds,
     certified_identifiable,
 )
-from linkident.oracle import DEFAULT_PATH_CAP, _indexed_adjacency, _walk_paths
+from linkident.graph import indexed_link_adjacency
+from linkident.oracle import DEFAULT_PATH_CAP, _walk_paths
 
 from helpers import previous_certified_identifiable
 
@@ -45,7 +46,7 @@ def test_seeds_are_paths_and_the_ceiling_is_a_null_vector():
         paths = set()
         _walk_paths(g, m1, m2, DEFAULT_PATH_CAP,
                     lambda mask, seq: paths.add(mask))
-        idx, adj = _indexed_adjacency(g)
+        idx, adj = indexed_link_adjacency(g.nodes, g.links.items())
         s, t = idx[m1], idx[m2]
         for mask in _tree_seeds(adj, s, t):
             assert mask in paths
@@ -84,7 +85,7 @@ def test_certified_sets_equal_the_oracle():
 def test_switch_paths_of_a_link_sum_to_twice_it():
     g = random_biconnected(12, random.Random(5))
     g = g.with_monitors(g.nodes[0], g.nodes[-1])
-    idx, adj = _indexed_adjacency(g)
+    idx, adj = indexed_link_adjacency(g.nodes, g.links.items())
     s, t = idx[g.nodes[0]], idx[g.nodes[-1]]
     found = 0
     for eid, (u, v) in g.links.items():

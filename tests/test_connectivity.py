@@ -61,17 +61,22 @@ def test_vertex_connectivity_rejects_k_outside_range_on_large_graphs():
 
 
 def predicate_multigraphs(max_nodes, monkeypatch):
-    """Every lobe-plus-bypass MultiGraph the interior predicate builds
-    on connected graphs of 2..max_nodes nodes, all monitor pairs."""
+    """Every lobe-plus-bypass adjacency the interior predicate tests
+    for 3-vertex-connectivity on connected graphs of 2..max_nodes
+    nodes, all monitor pairs, rebuilt as a Graph over its positions
+    with its link ids."""
     built = []
-    original = connectivity.k_vertex_connected
+    original = connectivity._three_connected
 
-    def record(aug, k):
-        built.append(aug)
-        return original(aug, k)
+    def record(adj):
+        ends = {eid: (i, j) for i, pairs in enumerate(adj)
+                for j, eid in pairs}
+        built.append(Graph(range(len(adj)),
+                           [ends[eid] for eid in sorted(ends)]))
+        return original(adj)
 
     with monkeypatch.context() as patch:
-        patch.setattr(connectivity, "k_vertex_connected", record)
+        patch.setattr(connectivity, "_three_connected", record)
         for n in range(2, max_nodes + 1):
             for g in enumerate_all_connected_graphs(n):
                 for m1, m2 in combinations(g.nodes, 2):

@@ -22,7 +22,7 @@ from linkident import (
     triconnected_components,
 )
 from linkident import decomposition
-from linkident.graph import lowpoint, node_adjacency, reachable
+from linkident.graph import link_adjacency, lowpoint, reachable
 
 from helpers import bowtie_on_edge, c5, k4, k_vertex_connected, path_graph, \
     previous_biconnected_components, prism, triangle, triangle_chain, \
@@ -314,8 +314,8 @@ def separation_classes(links, a, b):
     id.
     """
     others = sorted(decomposition._endpoints(links) - {a, b})
-    adj = node_adjacency(others, (p for p in links.values()
-                                  if a not in p and b not in p))
+    adj = link_adjacency(others, [(eid, p) for eid, p in links.items()
+                                  if a not in p and b not in p])
     comp_of = {}
     count = 0
     for start in others:

@@ -108,7 +108,7 @@ def test_generation_failure_modes():
     with pytest.raises(GenerationFailed):
         gnp_connected(0, 0.5, rng)
     with pytest.raises(GenerationFailed):
-        gnp_connected(9, 0.0001, rng, max_tries=2)
+        gnp_connected(9, 0.0001, rng)
     with pytest.raises(GenerationFailed):
         random_biconnected(2, rng)
     with pytest.raises(GenerationFailed):

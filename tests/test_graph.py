@@ -14,14 +14,13 @@ from linkident import (
     MonitorNotInGraph,
     MonitorsNotDistinct,
     MonitorsUnset,
-    MultiGraph,
     ParseError,
     SelfLoop,
     UnknownNode,
     enumerate_all_connected_graphs,
 )
 from linkident.graph import indexed_link_adjacency, link_adjacency, \
-    lowpoint, node_adjacency, reachable
+    lowpoint, reachable
 
 from helpers import k23, previous_lowpoint, triangle
 
@@ -232,19 +231,36 @@ def test_is_connected():
     assert Graph([], []).is_connected()
 
 
-def test_multigraph_parallel_links_and_virtual_bookkeeping():
-    # a bypass link (id 7) parallel to link 0 keeps its own id, the way
-    # the interior predicate adds one past the graph's largest link id
-    mg = MultiGraph([2, 0, 1], {0: (0, 1), 2: (2, 1), 7: (1, 0)})
-    assert mg.nodes == (0, 1, 2)
-    assert mg.links == {0: (0, 1), 2: (1, 2), 7: (0, 1)}
+def test_reachable_reads_link_pairs_keyed_by_node_or_by_position():
+    links = [(0, (10, 12)), (1, (12, 11)), (2, (11, 13)), (3, (13, 14)),
+             (4, (10, 14))]
+    keyed = link_adjacency([10, 11, 12, 13, 14], links)
+    assert reachable(keyed, (10,)) == {10, 11, 12, 13, 14}
+    assert reachable(keyed, (12,), {10, 13}) == {11, 12}
+    index, adj = indexed_link_adjacency([10, 11, 12, 13, 14], links)
+    assert reachable(adj, (index[12],), {index[10], index[13]}) \
+        == {index[11], index[12]}
+    assert reachable(adj, (0, 3), {4}) == {0, 1, 2, 3}
+
+
+def test_indexed_adjacency_sorts_each_list_and_keeps_parallel_links():
+    """The inputs of the parallel-link lowpoint test below, relabelled
+    so that no position equals its node."""
+    label = {0: 7, 1: 5, 2: 9}
+    links = [(2, (1, 2)), (0, (0, 1)), (1, (1, 2))]
+    index, adj = indexed_link_adjacency(
+        sorted(label.values()),
+        [(eid, (label[u], label[v])) for eid, (u, v) in links])
+    assert index == {5: 0, 7: 1, 9: 2}
+    assert adj == [[(1, 0), (2, 1), (2, 2)], [(0, 0)], [(0, 1), (0, 2)]]
+    assert lowpoint(adj, 1)[1:] == (set(), False)
 
 
 def lowpoint_by_deletion(nodes, links, removed):
     """Reference for lowpoint: delete each node and each link in turn
     and search what is left of the part the pass reaches."""
     root = next(v for v in nodes if v != removed)
-    adj = node_adjacency(nodes, (p for _, p in links))
+    adj = link_adjacency(nodes, links)
     reached = reachable(adj, (root,), {removed})
     cuts = set()
     for v in reached:
@@ -255,7 +271,7 @@ def lowpoint_by_deletion(nodes, links, removed):
     bridge = False
     for eid, (u, w) in links:
         if u in reached and w in reached:
-            kept = node_adjacency(nodes, (p for i, p in links if i != eid))
+            kept = link_adjacency(nodes, [x for x in links if x[0] != eid])
             if len(reachable(kept, (root,), {removed})) < len(reached):
                 bridge = True
     return reached, cuts, bridge
@@ -289,9 +305,9 @@ def test_indexed_lowpoint_matches_the_node_keyed_pass():
             label = [(5 * v + 2) % 7 + 10 for v in g.nodes]
             g = Graph(label, [(label[u], label[v])
                               for u, v in g.links.values()])
-            keyed = link_adjacency(g.nodes, g.links.items())
-            adj = indexed_link_adjacency(g.nodes, g.links.items())
-            index = {v: i for i, v in enumerate(g.nodes)}
+            keyed = {v: sorted(pairs) for v, pairs in
+                     link_adjacency(g.nodes, g.links.items()).items()}
+            index, adj = indexed_link_adjacency(g.nodes, g.links.items())
             for removed in (None, *g.nodes):
                 reached, cuts, bridge = lowpoint(
                     adj, None if removed is None else index[removed])

@@ -26,7 +26,7 @@ from linkident import (
     random_biconnected,
 )
 from linkident import structural
-from linkident.graph import node_adjacency, reachable
+from linkident.graph import link_adjacency, reachable
 from linkident.structural import _Claims
 
 from helpers import bowtie_on_edge, cycle, k4_chain, path_graph, prism, \
@@ -288,8 +288,8 @@ def test_an_outside_node_is_beyond_exactly_one_split_pair():
     when removed from the block, and it is the pair Structure.toward
     names for v."""
     for st, d, block in _split_blocks():
-        adj = node_adjacency(block.nodes,
-                             (st.g.links[eid] for eid in block.links))
+        adj = link_adjacency(block.nodes,
+                             [(eid, st.g.links[eid]) for eid in block.links])
         for comp in d.components:
             if comp.kind == "bond":
                 continue
